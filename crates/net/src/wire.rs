@@ -1261,7 +1261,7 @@ mod tests {
         }
     }
 
-    fn sample_stats(with_store: bool) -> StatsSnapshot {
+    fn sample_stats(store: bool, fabric: bool, drift: bool) -> StatsSnapshot {
         StatsSnapshot {
             requests: 100,
             hits: 60,
@@ -1280,7 +1280,7 @@ mod tests {
             stage_buckets: std::array::from_fn(|s| {
                 std::array::from_fn(|i| ((s * 7 + i) as u64) % 3)
             }),
-            store: with_store.then_some(StoreStatsSnapshot {
+            store: store.then_some(StoreStatsSnapshot {
                 regions: 20,
                 wal_bytes: 4096,
                 segments: 2,
@@ -1295,7 +1295,7 @@ mod tests {
                 recovered_segment_records: 15,
                 recovered_discarded_bytes: 13,
             }),
-            fabric: with_store.then_some(FabricStatsSnapshot {
+            fabric: fabric.then_some(FabricStatsSnapshot {
                 peers: 2,
                 rounds: 40,
                 digests: 80,
@@ -1307,7 +1307,7 @@ mod tests {
                 peer_failures: 1,
                 spot_checks: 15,
             }),
-            drift: with_store.then_some(DriftStatsSnapshot {
+            drift: drift.then_some(DriftStatsSnapshot {
                 detected: 3,
                 invalidated: 4,
                 tombstones: 3,
@@ -1383,8 +1383,12 @@ mod tests {
             }),
             Ok(served(ServeOutcome::CacheHit)),
         ]));
-        roundtrip_response(Response::StatsReply(Box::new(sample_stats(false))));
-        roundtrip_response(Response::StatsReply(Box::new(sample_stats(true))));
+        for flags in 0..8 {
+            let (store, fabric, drift) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            roundtrip_response(Response::StatsReply(Box::new(sample_stats(
+                store, fabric, drift,
+            ))));
+        }
         roundtrip_response(Response::MetricsReply(
             "# TYPE openapi_requests_total counter\nopenapi_requests_total 100\n".into(),
         ));
@@ -1412,6 +1416,34 @@ mod tests {
             truncated: true,
         }));
         roundtrip_response(Response::SyncPullReply(SyncDelta::default()));
+    }
+
+    /// The protocol-v2 `StatsReply` layout, pinned byte for byte: any
+    /// change to a section's field order or encoding must fail here (and
+    /// come with a protocol version bump).
+    #[test]
+    fn stats_reply_bytes_are_pinned() {
+        let frame = encode_response(&Response::StatsReply(Box::new(sample_stats(
+            true, true, true,
+        ))));
+        let golden: Vec<u8> = include_str!("testdata/stats_reply_v2.hex")
+            .split_whitespace()
+            .flat_map(|line| {
+                (0..line.len())
+                    .step_by(2)
+                    .map(move |i| u8::from_str_radix(&line[i..i + 2], 16).unwrap())
+            })
+            .collect();
+        if let Some(at) =
+            (0..frame.len().max(golden.len())).find(|&i| frame.get(i) != golden.get(i))
+        {
+            panic!(
+                "StatsReply bytes diverge from the v2 golden at offset {at} \
+                 (frame {} bytes, golden {} bytes)",
+                frame.len(),
+                golden.len()
+            );
+        }
     }
 
     #[test]
