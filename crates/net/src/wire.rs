@@ -22,10 +22,10 @@ use bytes::{Buf, BufMut};
 use openapi_core::decision::{Interpretation, RegionFingerprint};
 use openapi_linalg::codec::{self, CodecError};
 use openapi_linalg::Vector;
-use openapi_metrics::LATENCY_BUCKETS;
-use openapi_serve::{DriftStatsSnapshot, FabricStatsSnapshot, ServeOutcome, StatsSnapshot, STAGES};
+use openapi_serve::{DriftStatsSnapshot, FabricStatsSnapshot, ServeOutcome, StatsSnapshot};
 use openapi_store::record::{self, RecordError};
 use openapi_store::{DigestBucket, StoreDigest, StoreStatsSnapshot, SyncDelta, DIGEST_BUCKETS};
+use openapi_trace::expose::Metric;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -571,51 +571,6 @@ fn get_remote_error(buf: &mut &[u8]) -> Result<RemoteError, WireError> {
     Ok(RemoteError { code, message })
 }
 
-fn put_store_stats(buf: &mut Vec<u8>, s: &StoreStatsSnapshot) {
-    codec::put_len(buf, s.regions);
-    buf.put_u64_le(s.wal_bytes);
-    codec::put_len(buf, s.segments);
-    for v in [
-        s.appends,
-        s.duplicate_appends,
-        s.flushed_records,
-        s.fsyncs,
-        s.lookups,
-        s.hits,
-        s.compactions,
-        s.recovered_wal_records,
-        s.recovered_segment_records,
-        s.recovered_discarded_bytes,
-    ] {
-        buf.put_u64_le(v);
-    }
-}
-
-fn get_store_stats(buf: &mut &[u8]) -> Result<StoreStatsSnapshot, WireError> {
-    let regions = codec::get_len(buf, "store regions")?;
-    let wal_bytes = get_u64(buf, "store wal bytes")?;
-    let segments = codec::get_len(buf, "store segments")?;
-    let mut counters = [0u64; 10];
-    for c in &mut counters {
-        *c = get_u64(buf, "store counter")?;
-    }
-    Ok(StoreStatsSnapshot {
-        regions,
-        wal_bytes,
-        segments,
-        appends: counters[0],
-        duplicate_appends: counters[1],
-        flushed_records: counters[2],
-        fsyncs: counters[3],
-        lookups: counters[4],
-        hits: counters[5],
-        compactions: counters[6],
-        recovered_wal_records: counters[7],
-        recovered_segment_records: counters[8],
-        recovered_discarded_bytes: counters[9],
-    })
-}
-
 fn put_digest(buf: &mut Vec<u8>, digest: &StoreDigest) {
     for bucket in &digest.buckets {
         buf.put_u64_le(bucket.xor);
@@ -634,185 +589,84 @@ fn get_digest(buf: &mut &[u8]) -> Result<StoreDigest, WireError> {
     Ok(digest)
 }
 
-fn put_fabric_stats(buf: &mut Vec<u8>, s: &FabricStatsSnapshot) {
-    for v in [
-        s.peers,
-        s.rounds,
-        s.digests,
-        s.pulled_records,
-        s.pulled_bytes,
-        s.ingested,
-        s.duplicates,
-        s.rejected,
-        s.peer_failures,
-        s.spot_checks,
-    ] {
-        buf.put_u64_le(v);
+/// Writes one stats section's declared scalars, in declaration order
+/// (`usize` counts included: [`codec::put_len`] writes the same `u64`).
+fn put_values(buf: &mut Vec<u8>, values: &[u64]) {
+    for v in values {
+        buf.put_u64_le(*v);
     }
 }
 
-fn get_fabric_stats(buf: &mut &[u8]) -> Result<FabricStatsSnapshot, WireError> {
-    let mut counters = [0u64; 10];
-    for c in &mut counters {
-        *c = get_u64(buf, "fabric counter")?;
+/// Reads one stats section's declared scalars; `usize` counts are bounded
+/// like any other length.
+fn get_values<const N: usize>(buf: &mut &[u8], table: &[Metric; N]) -> Result<[u64; N], WireError> {
+    let mut values = [0u64; N];
+    for (v, metric) in values.iter_mut().zip(table) {
+        *v = if metric.len {
+            codec::get_len(buf, metric.field)? as u64
+        } else {
+            get_u64(buf, metric.field)?
+        };
     }
-    Ok(FabricStatsSnapshot {
-        peers: counters[0],
-        rounds: counters[1],
-        digests: counters[2],
-        pulled_records: counters[3],
-        pulled_bytes: counters[4],
-        ingested: counters[5],
-        duplicates: counters[6],
-        rejected: counters[7],
-        peer_failures: counters[8],
-        spot_checks: counters[9],
-    })
+    Ok(values)
+}
+
+/// Writes an optional section: a presence flag, then its scalars.
+fn put_section<const N: usize>(buf: &mut Vec<u8>, values: Option<[u64; N]>) {
+    buf.put_u8(u8::from(values.is_some()));
+    if let Some(values) = values {
+        put_values(buf, &values);
+    }
+}
+
+fn get_section<const N: usize>(
+    buf: &mut &[u8],
+    flag: &'static str,
+    table: &[Metric; N],
+) -> Result<Option<[u64; N]>, WireError> {
+    match get_u8(buf, flag)? {
+        0 => Ok(None),
+        1 => get_values(buf, table).map(Some),
+        other => Err(WireError::BadValue {
+            what: flag,
+            value: u64::from(other),
+        }),
+    }
 }
 
 fn put_stats(buf: &mut Vec<u8>, s: &StatsSnapshot) {
-    for v in [
-        s.requests,
-        s.hits,
-        s.store_hits,
-        s.misses,
-        s.coalesced_waits,
-        s.coalesced_served,
-        s.failures,
-        s.deadline_expired,
-        s.queries,
-        s.evictions,
-    ] {
-        buf.put_u64_le(v);
-    }
-    codec::put_len(buf, s.cached_regions);
+    put_values(buf, &s.values());
     put_opt_duration(buf, s.p50_latency);
     put_opt_duration(buf, s.p99_latency);
-    for b in &s.latency_buckets {
+    for b in s
+        .latency_buckets
+        .iter()
+        .chain(s.stage_buckets.iter().flatten())
+    {
         buf.put_u64_le(*b);
     }
-    for stage in &s.stage_buckets {
-        for b in stage {
-            buf.put_u64_le(*b);
-        }
-    }
-    match &s.store {
-        Some(store) => {
-            buf.put_u8(1);
-            put_store_stats(buf, store);
-        }
-        None => buf.put_u8(0),
-    }
-    match &s.fabric {
-        Some(fabric) => {
-            buf.put_u8(1);
-            put_fabric_stats(buf, fabric);
-        }
-        None => buf.put_u8(0),
-    }
-    match &s.drift {
-        Some(drift) => {
-            buf.put_u8(1);
-            put_drift_stats(buf, drift);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn put_drift_stats(buf: &mut Vec<u8>, s: &DriftStatsSnapshot) {
-    for v in [
-        s.detected,
-        s.invalidated,
-        s.tombstones,
-        s.resolves,
-        s.witnesses,
-    ] {
-        buf.put_u64_le(v);
-    }
-}
-
-fn get_drift_stats(buf: &mut &[u8]) -> Result<DriftStatsSnapshot, WireError> {
-    let mut counters = [0u64; 5];
-    for c in &mut counters {
-        *c = get_u64(buf, "drift counter")?;
-    }
-    Ok(DriftStatsSnapshot {
-        detected: counters[0],
-        invalidated: counters[1],
-        tombstones: counters[2],
-        resolves: counters[3],
-        witnesses: counters[4],
-    })
+    put_section(buf, s.store.as_ref().map(StoreStatsSnapshot::values));
+    put_section(buf, s.fabric.as_ref().map(FabricStatsSnapshot::values));
+    put_section(buf, s.drift.as_ref().map(DriftStatsSnapshot::values));
 }
 
 fn get_stats(buf: &mut &[u8]) -> Result<StatsSnapshot, WireError> {
-    let mut counters = [0u64; 10];
-    for c in &mut counters {
-        *c = get_u64(buf, "stats counter")?;
-    }
-    let cached_regions = codec::get_len(buf, "stats cached regions")?;
-    let p50_latency = get_opt_duration(buf, "stats p50")?;
-    let p99_latency = get_opt_duration(buf, "stats p99")?;
-    let mut latency_buckets = [0u64; LATENCY_BUCKETS];
-    for b in &mut latency_buckets {
+    let mut s = StatsSnapshot::from_values(get_values(buf, &StatsSnapshot::METRICS)?);
+    s.p50_latency = get_opt_duration(buf, "stats p50")?;
+    s.p99_latency = get_opt_duration(buf, "stats p99")?;
+    for b in &mut s.latency_buckets {
         *b = get_u64(buf, "stats latency bucket")?;
     }
-    let mut stage_buckets = [[0u64; LATENCY_BUCKETS]; STAGES];
-    for stage in &mut stage_buckets {
-        for b in stage.iter_mut() {
-            *b = get_u64(buf, "stats stage bucket")?;
-        }
+    for b in s.stage_buckets.iter_mut().flatten() {
+        *b = get_u64(buf, "stats stage bucket")?;
     }
-    let store = match get_u8(buf, "stats store flag")? {
-        0 => None,
-        1 => Some(get_store_stats(buf)?),
-        other => {
-            return Err(WireError::BadValue {
-                what: "stats store flag",
-                value: u64::from(other),
-            })
-        }
-    };
-    let fabric = match get_u8(buf, "stats fabric flag")? {
-        0 => None,
-        1 => Some(get_fabric_stats(buf)?),
-        other => {
-            return Err(WireError::BadValue {
-                what: "stats fabric flag",
-                value: u64::from(other),
-            })
-        }
-    };
-    let drift = match get_u8(buf, "stats drift flag")? {
-        0 => None,
-        1 => Some(get_drift_stats(buf)?),
-        other => {
-            return Err(WireError::BadValue {
-                what: "stats drift flag",
-                value: u64::from(other),
-            })
-        }
-    };
-    Ok(StatsSnapshot {
-        requests: counters[0],
-        hits: counters[1],
-        store_hits: counters[2],
-        misses: counters[3],
-        coalesced_waits: counters[4],
-        coalesced_served: counters[5],
-        failures: counters[6],
-        deadline_expired: counters[7],
-        queries: counters[8],
-        evictions: counters[9],
-        cached_regions,
-        p50_latency,
-        p99_latency,
-        latency_buckets,
-        stage_buckets,
-        store,
-        fabric,
-        drift,
-    })
+    s.store = get_section(buf, "stats store flag", &StoreStatsSnapshot::METRICS)?
+        .map(StoreStatsSnapshot::from_values);
+    s.fabric = get_section(buf, "stats fabric flag", &FabricStatsSnapshot::METRICS)?
+        .map(FabricStatsSnapshot::from_values);
+    s.drift = get_section(buf, "stats drift flag", &DriftStatsSnapshot::METRICS)?
+        .map(DriftStatsSnapshot::from_values);
+    Ok(s)
 }
 
 /// Wraps a finished payload in its frame (length + CRC).
@@ -1520,6 +1374,31 @@ mod tests {
             Err(WireError::TrailingBytes { remaining: 1 })
         ));
         assert!(matches!(decode_request(&[]), Err(WireError::Codec(_))));
+        // A stats `usize` count beyond any plausible length, and a section
+        // flag that is neither 0 nor 1.
+        let frame = encode_response(&Response::StatsReply(Box::new(sample_stats(
+            false, false, false,
+        ))));
+        let payload = record::get_frame(&mut frame.as_slice()).unwrap().to_vec();
+        let mut bad_len = payload.clone();
+        bad_len[81..89].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_response(&bad_len),
+            Err(WireError::Codec(CodecError::BadLength {
+                what: "cached_regions",
+                ..
+            }))
+        ));
+        let mut bad_flag = payload;
+        let flags = bad_flag.len() - 3;
+        bad_flag[flags] = 2;
+        assert!(matches!(
+            decode_response(&bad_flag),
+            Err(WireError::BadValue {
+                what: "stats store flag",
+                value: 2
+            })
+        ));
     }
 
     #[test]

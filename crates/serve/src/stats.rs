@@ -2,7 +2,6 @@
 
 use openapi_metrics::{quantile_from_buckets, LatencyHistogram, LATENCY_BUCKETS};
 use openapi_store::StoreStatsSnapshot;
-use openapi_sync::atomic::{AtomicU64, Ordering};
 use std::fmt;
 use std::time::Duration;
 
@@ -25,42 +24,80 @@ pub enum StageSlot {
     Reply = 4,
 }
 
-/// Lock-free counters every worker thread records into, plus the request
-/// latency histogram. All counters are monotone over the service lifetime.
-#[derive(Debug, Default)]
-pub struct ServiceStats {
-    /// Requests submitted.
-    pub(crate) requests: AtomicU64,
-    /// Requests served from the shared cache (1 probe query each).
-    pub(crate) hits: AtomicU64,
-    /// Requests served from the durable region store (1 probe query each;
-    /// the region is promoted back into the cache).
-    pub(crate) store_hits: AtomicU64,
-    /// Requests that led an Algorithm-1 solve.
-    pub(crate) misses: AtomicU64,
-    /// Times a request parked behind an in-flight solve of its class.
-    pub(crate) coalesced_waits: AtomicU64,
-    /// Requests served from a leader's solve without solving themselves.
-    pub(crate) coalesced_served: AtomicU64,
-    /// Requests that completed with an error (including expired deadlines).
-    pub(crate) failures: AtomicU64,
-    /// Requests rejected because their deadline passed before completion.
-    pub(crate) deadline_expired: AtomicU64,
-    /// Prediction queries issued to the API on behalf of all requests.
-    pub(crate) queries: AtomicU64,
-    /// End-to-end request latency (submit → reply).
-    pub(crate) latency: LatencyHistogram,
-    /// Per-stage latency, one histogram per [`StageSlot`].
-    pub(crate) stage: [LatencyHistogram; STAGES],
+openapi_trace::stats_group! {
+    /// Lock-free counters every worker thread records into, plus the request
+    /// latency histograms. All counters are monotone over the service
+    /// lifetime.
+    ///
+    /// # Torn reads
+    /// `snapshot` loads the counters one by one with no cross-counter
+    /// atomicity: a snapshot taken while requests are in flight may observe,
+    /// say, a request's `requests` increment but not yet its outcome bucket.
+    /// Each individual counter is still exact, and once every submitted
+    /// ticket has resolved the snapshot is exact as a whole (the ledger
+    /// identity on [`StatsSnapshot`] holds) — the reply-channel `recv` the
+    /// caller blocked on happens-after the worker's final `add`.
+    /// `evictions` and `cached_regions` describe the cache, which the service
+    /// owns — it supplies them (see `InterpretationService::stats`).
+    #[derive(Debug, Default)]
+    pub struct ServiceStats {
+        /// End-to-end request latency (submit → reply).
+        pub(crate) latency: LatencyHistogram,
+        /// Per-stage latency, one histogram per [`StageSlot`].
+        pub(crate) stage: [LatencyHistogram; STAGES],
+    }
+    /// A point-in-time view of [`ServiceStats`] plus the cache gauges (and
+    /// the durable store's counters, when the service has one).
+    ///
+    /// Once every submitted ticket has resolved and the service is still
+    /// running, `requests = hits + store_hits + misses + coalesced_served +
+    /// failures` — each request the service completed ends in exactly one of
+    /// those outcomes. The exception is shutdown: requests still queued when
+    /// the workers exit resolve as `ServeError::ServiceStopped` through their
+    /// dropped reply channels, outside any worker's accounting, so after a
+    /// shutdown race `requests` can exceed the outcome buckets' sum.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct StatsSnapshot(stats) {
+        /// Median request latency (`None` before any request completed).
+        pub p50_latency: Option<Duration> = stats.latency.p50(),
+        /// 99th-percentile request latency.
+        pub p99_latency: Option<Duration> = stats.latency.p99(),
+        /// Raw end-to-end latency bucket counts (the `LatencyHistogram` log₂
+        /// layout), so remote consumers can reconstruct any quantile.
+        pub latency_buckets: [u64; LATENCY_BUCKETS] = stats.latency.snapshot(),
+        /// Raw per-stage latency bucket counts, one array per [`StageSlot`]
+        /// in [`STAGE_NAMES`] order.
+        pub stage_buckets: [[u64; LATENCY_BUCKETS]; STAGES] =
+            std::array::from_fn(|i| stats.stage[i].snapshot()),
+        /// The durable store's own counters (`None` when the service runs
+        /// without a store).
+        pub store: Option<StoreStatsSnapshot> = None,
+        /// The anti-entropy fabric's counters (`None` when no fabric node is
+        /// attached to the service).
+        pub fabric: Option<FabricStatsSnapshot> = None,
+        /// The drift detector's counters (`None` only on snapshots not taken
+        /// through a service — the detector itself is always on).
+        pub drift: Option<DriftStatsSnapshot> = None,
+    }
+    pub(crate) metrics {
+        atomic counter u64 requests "openapi_requests_total" "Requests submitted to the interpretation service.";
+        atomic counter u64 hits "openapi_cache_hits_total" "Requests served from the shared region cache.";
+        /// An outcome bucket: the region is promoted back into the cache.
+        atomic counter u64 store_hits "openapi_store_hits_total" "Requests served from the durable region store.";
+        atomic counter u64 misses "openapi_misses_total" "Requests that led an Algorithm-1 solve.";
+        /// Events, not outcomes: one request can wait more than once.
+        atomic counter u64 coalesced_waits "openapi_coalesced_waits_total" "Times a request parked behind an in-flight solve.";
+        /// An outcome bucket.
+        atomic counter u64 coalesced_served "openapi_coalesced_served_total" "Requests served from a leader's solve.";
+        atomic counter u64 failures "openapi_failures_total" "Requests that completed with an error.";
+        atomic counter u64 deadline_expired "openapi_deadline_expired_total" "Failures caused by an expired deadline.";
+        atomic counter u64 queries "openapi_queries_total" "Prediction queries issued to the model API.";
+        supplied counter u64 evictions "openapi_cache_evictions_total" "Regions evicted from the bounded cache.";
+        supplied gauge usize cached_regions "openapi_cache_regions" "Regions currently cached.";
+    }
 }
 
 impl ServiceStats {
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        // ordering: Relaxed — independent monotone counters; no reader
-        // infers cross-counter state from one load (see `snapshot`).
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_latency(&self, latency: Duration) {
         self.latency.record(latency);
     }
@@ -69,241 +106,69 @@ impl ServiceStats {
     pub(crate) fn record_stage(&self, slot: StageSlot, latency: Duration) {
         self.stage[slot as usize].record(latency);
     }
+}
 
-    /// A point-in-time copy of the counters. `evictions` and
-    /// `cached_regions` describe the cache, which the service owns — it
-    /// fills them in (see `InterpretationService::stats`).
-    ///
-    /// # Torn reads
-    /// The counters are loaded one by one with no cross-counter atomicity:
-    /// a snapshot taken while requests are in flight may observe, say, a
-    /// request's `requests` increment but not yet its outcome bucket.
-    /// Each individual counter is still exact, and once every submitted
-    /// ticket has resolved the snapshot is exact as a whole (the ledger
-    /// identity on [`StatsSnapshot`] holds) — the reply-channel `recv` the
-    /// caller blocked on happens-after the worker's final `add`.
-    pub(crate) fn snapshot(&self, evictions: u64, cached_regions: usize) -> StatsSnapshot {
-        // ordering: Relaxed — per-counter exactness is all the contract
-        // promises mid-flight (see the torn-reads note above); quiescent
-        // exactness rides the reply-channel happens-before edge.
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            requests: load(&self.requests),
-            hits: load(&self.hits),
-            store_hits: load(&self.store_hits),
-            misses: load(&self.misses),
-            coalesced_waits: load(&self.coalesced_waits),
-            coalesced_served: load(&self.coalesced_served),
-            failures: load(&self.failures),
-            deadline_expired: load(&self.deadline_expired),
-            queries: load(&self.queries),
-            evictions,
-            cached_regions,
-            p50_latency: self.latency.p50(),
-            p99_latency: self.latency.p99(),
-            latency_buckets: self.latency.snapshot(),
-            stage_buckets: std::array::from_fn(|i| self.stage[i].snapshot()),
-            store: None,
-            fabric: None,
-            drift: None,
-        }
+/// The snapshot of a service that has recorded nothing: the base the wire
+/// decoder fills in.
+impl Default for StatsSnapshot {
+    fn default() -> Self {
+        ServiceStats::default().snapshot(0, 0)
     }
 }
 
-/// Lock-free counters for the drift detector: what the service did when
-/// the hidden model stopped explaining a region it had already solved
-/// (a silent model swap behind the API). The serving path records
-/// detections inline; [`crate::ServiceCore::apply_tombstone`] records
-/// replicated invalidations from the fabric.
-#[derive(Debug, Default)]
-pub struct DriftStats {
-    /// Confirmed drift detections: a previously witnessed instance whose
-    /// probe no cached or stored region explains any more, while its old
-    /// region was still being offered.
-    pub detected: AtomicU64,
-    /// Cache entries evicted by invalidations (local or replicated).
-    pub invalidated: AtomicU64,
-    /// Fresh tombstones written to the durable store.
-    pub tombstones: AtomicU64,
-    /// Drifted requests that completed a fresh solve against the live API.
-    pub resolves: AtomicU64,
-}
-
-impl DriftStats {
-    /// Adds `n` to one drift counter.
-    pub fn add(counter: &AtomicU64, n: u64) {
-        // ordering: Relaxed — independent monotone counters; no reader
-        // infers cross-counter state from one load (see `snapshot`).
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the counters (per-counter exact, same
-    /// contract as [`ServiceStats`]). The witness-book size is a gauge the
-    /// service owns, so it passes the current value in.
-    pub fn snapshot(&self, witnesses: u64) -> DriftStatsSnapshot {
-        // ordering: Relaxed — per-counter exactness is the contract.
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        DriftStatsSnapshot {
-            detected: load(&self.detected),
-            invalidated: load(&self.invalidated),
-            tombstones: load(&self.tombstones),
-            resolves: load(&self.resolves),
-            witnesses,
-        }
+openapi_trace::stats_group! {
+    /// Lock-free counters for the drift detector: what the service did when
+    /// the hidden model stopped explaining a region it had already solved
+    /// (a silent model swap behind the API). The serving path records
+    /// detections inline; [`crate::ServiceCore::apply_tombstone`] records
+    /// replicated invalidations from the fabric. Snapshots are per-counter
+    /// exact, same contract as [`ServiceStats`]; the witness-book size is a
+    /// gauge the service owns and supplies.
+    #[derive(Debug, Default)]
+    pub struct DriftStats {}
+    /// A point-in-time view of [`DriftStats`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct DriftStatsSnapshot {}
+    pub metrics {
+        /// A previously witnessed instance whose probe no cached or stored
+        /// region explains any more, while its old region was still offered.
+        atomic counter u64 detected "openapi_drift_detected_total" "Confirmed drift detections (stale regions caught).";
+        /// Local or replicated invalidations.
+        atomic counter u64 invalidated "openapi_drift_invalidated_total" "Cache entries evicted by drift invalidations.";
+        atomic counter u64 tombstones "openapi_drift_tombstones_total" "Fresh tombstones written to the durable store.";
+        atomic counter u64 resolves "openapi_drift_resolves_total" "Drifted requests re-solved against the live API.";
+        supplied gauge u64 witnesses "openapi_drift_witnesses" "Served instances remembered as drift witnesses.";
     }
 }
 
-/// A point-in-time view of [`DriftStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DriftStatsSnapshot {
-    /// Confirmed drift detections.
-    pub detected: u64,
-    /// Cache entries evicted by invalidations.
-    pub invalidated: u64,
-    /// Fresh tombstones written to the durable store.
-    pub tombstones: u64,
-    /// Drifted requests that completed a fresh solve.
-    pub resolves: u64,
-    /// Served instances currently remembered as drift witnesses (gauge).
-    pub witnesses: u64,
-}
-
-/// Lock-free counters for the anti-entropy replication fabric. The service
-/// owns one (`Arc`-shared with the `openapi-fabric` gossip loop, which
-/// lives *above* this crate in the dependency graph) so a stats snapshot
-/// can carry the fabric's view without a dependency cycle.
-#[derive(Debug, Default)]
-pub struct FabricStats {
-    /// Completed anti-entropy rounds (one round = one peer exchange).
-    pub rounds: AtomicU64,
-    /// Digest exchanges performed against peers.
-    pub digests: AtomicU64,
-    /// Record frames pulled from peers.
-    pub pulled_records: AtomicU64,
-    /// Bytes of record frames pulled from peers.
-    pub pulled_bytes: AtomicU64,
-    /// Pulled records validated and ingested into the local store.
-    pub ingested: AtomicU64,
-    /// Pulled records the local store already held (benign gossip overlap).
-    pub duplicates: AtomicU64,
-    /// Pulled records rejected by validation (frame CRC, model shape, or
-    /// the self-consistency spot-check).
-    pub rejected: AtomicU64,
-    /// Rounds lost to transport or peer errors (the loop retries later).
-    pub peer_failures: AtomicU64,
-    /// Self-consistency spot-checks run against pulled records.
-    pub spot_checks: AtomicU64,
-    /// Configured peers (gauge).
-    pub peers: AtomicU64,
-}
-
-impl FabricStats {
-    /// Adds `n` to one fabric counter.
-    pub fn add(counter: &AtomicU64, n: u64) {
-        // ordering: Relaxed — independent monotone counters; no reader
-        // infers cross-counter state from one load (see `snapshot`).
-        counter.fetch_add(n, Ordering::Relaxed);
+openapi_trace::stats_group! {
+    /// Lock-free counters for the anti-entropy replication fabric. The service
+    /// owns one (`Arc`-shared with the `openapi-fabric` gossip loop, which
+    /// lives *above* this crate in the dependency graph) so a stats snapshot
+    /// can carry the fabric's view without a dependency cycle. Snapshots are
+    /// per-counter exact, same contract as [`ServiceStats`].
+    #[derive(Debug, Default)]
+    pub struct FabricStats {}
+    /// A point-in-time view of [`FabricStats`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct FabricStatsSnapshot {}
+    pub metrics {
+        /// Set once by the fabric node at spawn.
+        atomic gauge u64 peers "openapi_fabric_peers" "Anti-entropy peers configured.";
+        /// One round is one peer exchange.
+        atomic counter u64 rounds "openapi_fabric_rounds_total" "Completed anti-entropy rounds.";
+        atomic counter u64 digests "openapi_fabric_digests_total" "Digest exchanges performed against peers.";
+        atomic counter u64 pulled_records "openapi_fabric_pulled_records_total" "Record frames pulled from peers.";
+        atomic counter u64 pulled_bytes "openapi_fabric_pulled_bytes_total" "Bytes of record frames pulled from peers.";
+        atomic counter u64 ingested "openapi_fabric_ingested_total" "Pulled records validated and ingested into the store.";
+        /// Benign gossip overlap.
+        atomic counter u64 duplicates "openapi_fabric_duplicates_total" "Pulled records the local store already held.";
+        /// Frame CRC, model shape, or the self-consistency spot-check.
+        atomic counter u64 rejected "openapi_fabric_rejected_total" "Pulled records rejected by validation.";
+        /// The loop retries later.
+        atomic counter u64 peer_failures "openapi_fabric_peer_failures_total" "Anti-entropy rounds lost to transport or peer errors.";
+        atomic counter u64 spot_checks "openapi_fabric_spot_checks_total" "Self-consistency spot-checks run on pulled records.";
     }
-
-    /// A point-in-time copy of the counters (per-counter exact; no
-    /// cross-counter atomicity, same contract as [`ServiceStats`]).
-    pub fn snapshot(&self) -> FabricStatsSnapshot {
-        // ordering: Relaxed — per-counter exactness is the contract.
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        FabricStatsSnapshot {
-            rounds: load(&self.rounds),
-            digests: load(&self.digests),
-            pulled_records: load(&self.pulled_records),
-            pulled_bytes: load(&self.pulled_bytes),
-            ingested: load(&self.ingested),
-            duplicates: load(&self.duplicates),
-            rejected: load(&self.rejected),
-            peer_failures: load(&self.peer_failures),
-            spot_checks: load(&self.spot_checks),
-            peers: load(&self.peers),
-        }
-    }
-}
-
-/// A point-in-time view of [`FabricStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FabricStatsSnapshot {
-    /// Completed anti-entropy rounds.
-    pub rounds: u64,
-    /// Digest exchanges performed against peers.
-    pub digests: u64,
-    /// Record frames pulled from peers.
-    pub pulled_records: u64,
-    /// Bytes of record frames pulled from peers.
-    pub pulled_bytes: u64,
-    /// Pulled records validated and ingested into the local store.
-    pub ingested: u64,
-    /// Pulled records the local store already held.
-    pub duplicates: u64,
-    /// Pulled records rejected by validation.
-    pub rejected: u64,
-    /// Rounds lost to transport or peer errors.
-    pub peer_failures: u64,
-    /// Self-consistency spot-checks run against pulled records.
-    pub spot_checks: u64,
-    /// Configured peers (gauge).
-    pub peers: u64,
-}
-
-/// A point-in-time view of [`ServiceStats`] plus the cache gauges (and
-/// the durable store's counters, when the service has one).
-///
-/// Once every submitted ticket has resolved and the service is still
-/// running, `requests = hits + store_hits + misses + coalesced_served +
-/// failures` — each request the service completed ends in exactly one of
-/// those outcomes. The exception is shutdown: requests still queued when
-/// the workers exit resolve as `ServeError::ServiceStopped` through their
-/// dropped reply channels, outside any worker's accounting, so after a
-/// shutdown race `requests` can exceed the outcome buckets' sum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsSnapshot {
-    /// Requests submitted.
-    pub requests: u64,
-    /// Requests served from the shared cache.
-    pub hits: u64,
-    /// Requests served from the durable region store (outcome bucket).
-    pub store_hits: u64,
-    /// Requests that led an Algorithm-1 solve.
-    pub misses: u64,
-    /// Times a request parked behind an in-flight solve (events, not
-    /// outcomes: one request can wait more than once).
-    pub coalesced_waits: u64,
-    /// Requests served from a leader's solve (outcome bucket).
-    pub coalesced_served: u64,
-    /// Requests that completed with an error.
-    pub failures: u64,
-    /// Of the failures, how many were expired deadlines.
-    pub deadline_expired: u64,
-    /// Prediction queries issued to the API.
-    pub queries: u64,
-    /// Regions evicted from the bounded cache.
-    pub evictions: u64,
-    /// Regions currently cached.
-    pub cached_regions: usize,
-    /// Median request latency (`None` before any request completed).
-    pub p50_latency: Option<Duration>,
-    /// 99th-percentile request latency.
-    pub p99_latency: Option<Duration>,
-    /// Raw end-to-end latency bucket counts (the `LatencyHistogram` log₂
-    /// layout), so remote consumers can reconstruct any quantile.
-    pub latency_buckets: [u64; LATENCY_BUCKETS],
-    /// Raw per-stage latency bucket counts, one array per [`StageSlot`]
-    /// in [`STAGE_NAMES`] order.
-    pub stage_buckets: [[u64; LATENCY_BUCKETS]; STAGES],
-    /// The durable store's own counters (`None` when the service runs
-    /// without a store).
-    pub store: Option<StoreStatsSnapshot>,
-    /// The anti-entropy fabric's counters (`None` when no fabric node is
-    /// attached to the service).
-    pub fabric: Option<FabricStatsSnapshot>,
-    /// The drift detector's counters (`None` only on snapshots not taken
-    /// through a service — the detector itself is always on).
-    pub drift: Option<DriftStatsSnapshot>,
 }
 
 impl fmt::Display for StatsSnapshot {
@@ -393,61 +258,7 @@ impl StatsSnapshot {
     /// wire-copied snapshot.
     pub fn to_prometheus(&self) -> String {
         let mut m = openapi_trace::expose::MetricsText::new();
-        m.counter(
-            "openapi_requests_total",
-            "Requests submitted to the interpretation service.",
-            self.requests,
-        );
-        m.counter(
-            "openapi_cache_hits_total",
-            "Requests served from the shared region cache.",
-            self.hits,
-        );
-        m.counter(
-            "openapi_store_hits_total",
-            "Requests served from the durable region store.",
-            self.store_hits,
-        );
-        m.counter(
-            "openapi_misses_total",
-            "Requests that led an Algorithm-1 solve.",
-            self.misses,
-        );
-        m.counter(
-            "openapi_coalesced_waits_total",
-            "Times a request parked behind an in-flight solve.",
-            self.coalesced_waits,
-        );
-        m.counter(
-            "openapi_coalesced_served_total",
-            "Requests served from a leader's solve.",
-            self.coalesced_served,
-        );
-        m.counter(
-            "openapi_failures_total",
-            "Requests that completed with an error.",
-            self.failures,
-        );
-        m.counter(
-            "openapi_deadline_expired_total",
-            "Failures caused by an expired deadline.",
-            self.deadline_expired,
-        );
-        m.counter(
-            "openapi_queries_total",
-            "Prediction queries issued to the model API.",
-            self.queries,
-        );
-        m.counter(
-            "openapi_cache_evictions_total",
-            "Regions evicted from the bounded cache.",
-            self.evictions,
-        );
-        m.gauge(
-            "openapi_cache_regions",
-            "Regions currently cached.",
-            self.cached_regions as u64,
-        );
+        self.expose(&mut m);
         m.histogram_log2ns(
             "openapi_request_latency_seconds",
             "End-to-end request latency (submit to reply).",
@@ -468,115 +279,13 @@ impl StatsSnapshot {
             &series,
         );
         if let Some(store) = &self.store {
-            m.gauge(
-                "openapi_store_regions",
-                "Distinct regions durable (or queued durable).",
-                store.regions as u64,
-            );
-            m.gauge(
-                "openapi_store_wal_bytes",
-                "Current WAL length in bytes.",
-                store.wal_bytes,
-            );
-            m.counter(
-                "openapi_store_appends_total",
-                "New regions accepted by the store.",
-                store.appends,
-            );
-            m.counter(
-                "openapi_store_fsyncs_total",
-                "Batched fsync calls issued by the flusher.",
-                store.fsyncs,
-            );
-            m.counter(
-                "openapi_store_lookups_total",
-                "Membership lookups served by the store.",
-                store.lookups,
-            );
-            m.counter(
-                "openapi_store_lookup_hits_total",
-                "Store lookups that found their region.",
-                store.hits,
-            );
+            store.expose(&mut m);
         }
         if let Some(fabric) = &self.fabric {
-            m.gauge(
-                "openapi_fabric_peers",
-                "Anti-entropy peers configured.",
-                fabric.peers,
-            );
-            m.counter(
-                "openapi_fabric_rounds_total",
-                "Completed anti-entropy rounds.",
-                fabric.rounds,
-            );
-            m.counter(
-                "openapi_fabric_digests_total",
-                "Digest exchanges performed against peers.",
-                fabric.digests,
-            );
-            m.counter(
-                "openapi_fabric_pulled_records_total",
-                "Record frames pulled from peers.",
-                fabric.pulled_records,
-            );
-            m.counter(
-                "openapi_fabric_pulled_bytes_total",
-                "Bytes of record frames pulled from peers.",
-                fabric.pulled_bytes,
-            );
-            m.counter(
-                "openapi_fabric_ingested_total",
-                "Pulled records validated and ingested into the store.",
-                fabric.ingested,
-            );
-            m.counter(
-                "openapi_fabric_duplicates_total",
-                "Pulled records the local store already held.",
-                fabric.duplicates,
-            );
-            m.counter(
-                "openapi_fabric_rejected_total",
-                "Pulled records rejected by validation.",
-                fabric.rejected,
-            );
-            m.counter(
-                "openapi_fabric_peer_failures_total",
-                "Anti-entropy rounds lost to transport or peer errors.",
-                fabric.peer_failures,
-            );
-            m.counter(
-                "openapi_fabric_spot_checks_total",
-                "Self-consistency spot-checks run on pulled records.",
-                fabric.spot_checks,
-            );
+            fabric.expose(&mut m);
         }
         if let Some(drift) = &self.drift {
-            m.counter(
-                "openapi_drift_detected_total",
-                "Confirmed drift detections (stale regions caught).",
-                drift.detected,
-            );
-            m.counter(
-                "openapi_drift_invalidated_total",
-                "Cache entries evicted by drift invalidations.",
-                drift.invalidated,
-            );
-            m.counter(
-                "openapi_drift_tombstones_total",
-                "Fresh tombstones written to the durable store.",
-                drift.tombstones,
-            );
-            m.counter(
-                "openapi_drift_resolves_total",
-                "Drifted requests re-solved against the live API.",
-                drift.resolves,
-            );
-            m.gauge(
-                "openapi_drift_witnesses",
-                "Served instances remembered as drift witnesses.",
-                drift.witnesses,
-            );
+            drift.expose(&mut m);
         }
         let ring = openapi_trace::ring_stats();
         m.counter(
@@ -598,33 +307,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_reads_what_was_recorded() {
-        let stats = ServiceStats::default();
-        ServiceStats::add(&stats.requests, 10);
-        ServiceStats::add(&stats.hits, 5);
-        ServiceStats::add(&stats.store_hits, 1);
-        ServiceStats::add(&stats.misses, 2);
-        ServiceStats::add(&stats.coalesced_served, 1);
-        ServiceStats::add(&stats.failures, 1);
-        ServiceStats::add(&stats.queries, 42);
-        stats.record_latency(Duration::from_micros(100));
-        let snap = stats.snapshot(3, 7);
-        assert_eq!(snap.requests, 10);
-        assert_eq!(
-            snap.hits + snap.store_hits + snap.misses + snap.coalesced_served + snap.failures,
-            10
-        );
-        assert!(snap.store.is_none(), "the service fills the store view in");
-        assert_eq!(snap.queries, 42);
-        assert_eq!(snap.evictions, 3);
-        assert_eq!(snap.cached_regions, 7);
-        assert!(snap.p50_latency.is_some());
-        // Display renders without panicking and mentions the key counters.
-        let text = snap.to_string();
-        assert!(text.contains("requests") && text.contains("p99"));
-    }
-
-    #[test]
     fn stage_histograms_flow_into_the_snapshot_and_report() {
         let stats = ServiceStats::default();
         ServiceStats::add(&stats.requests, 1);
@@ -632,7 +314,9 @@ mod tests {
         stats.record_stage(StageSlot::Probe, Duration::from_micros(20));
         stats.record_stage(StageSlot::Reply, Duration::from_micros(5));
         stats.record_latency(Duration::from_micros(30));
-        let snap = stats.snapshot(0, 0);
+        let mut snap = stats.snapshot(0, 0);
+        assert!(snap.p50_latency.is_some());
+        assert!(snap.store.is_none(), "the service fills the store view in");
         assert_eq!(
             snap.stage_buckets[StageSlot::Queue as usize]
                 .iter()
@@ -645,12 +329,15 @@ mod tests {
                 .sum::<u64>(),
             0
         );
-        // The Display breakdown names every stage.
+        // The Display breakdown names every stage, and the store's lines
+        // once a store view is attached.
+        snap.store = Some(StoreStatsSnapshot::default());
         let text = snap.to_string();
         for name in STAGE_NAMES {
             assert!(text.contains(name), "stage {name} missing from report");
         }
-        assert!(text.contains("p90"));
+        assert!(text.contains("requests") && text.contains("p90"));
+        assert!(text.contains("segments") && text.contains("fsyncs"));
     }
 
     #[test]

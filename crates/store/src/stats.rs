@@ -1,106 +1,43 @@
 //! Atomic store statistics: recovery, append, flush, and lookup counters.
 
-use openapi_sync::atomic::{AtomicU64, Ordering};
 use std::fmt;
 
-/// Lock-free counters the store's callers and its flusher thread record
-/// into. Recovery counters are written once at open; the rest are monotone
-/// over the store's lifetime.
-#[derive(Debug, Default)]
-pub struct StoreStats {
-    /// New regions accepted (queued for the WAL).
-    pub(crate) appends: AtomicU64,
-    /// Appends skipped because the region was already durable.
-    pub(crate) duplicate_appends: AtomicU64,
-    /// Records actually written to the WAL by the flusher.
-    pub(crate) flushed_records: AtomicU64,
-    /// `fsync` calls issued by the flusher (≤ `flushed_records`: batched).
-    pub(crate) fsyncs: AtomicU64,
-    /// Membership lookups served.
-    pub(crate) lookups: AtomicU64,
-    /// Lookups that found their region.
-    pub(crate) hits: AtomicU64,
-    /// Compaction passes completed.
-    pub(crate) compactions: AtomicU64,
-    /// Records replayed from the WAL at open.
-    pub(crate) recovered_wal_records: AtomicU64,
-    /// Records replayed from sealed segments at open.
-    pub(crate) recovered_segment_records: AtomicU64,
-    /// Torn/corrupt tail bytes clipped during recovery.
-    pub(crate) recovered_discarded_bytes: AtomicU64,
-}
-
-impl StoreStats {
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        // ordering: Relaxed — independent monotone counters; no reader
-        // infers cross-counter state from one load (see `snapshot`).
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the counters; the gauges (`regions`,
+openapi_trace::stats_group! {
+    /// Lock-free counters the store's callers and its flusher thread record
+    /// into. Recovery counters are written once at open; the rest are
+    /// monotone over the store's lifetime. The gauges (`regions`,
     /// `wal_bytes`, `segments`) describe state the store owns and are
-    /// filled in by [`crate::RegionStore::stats`].
+    /// supplied by [`crate::RegionStore::stats`].
     ///
     /// # Torn reads
-    /// Counters are loaded one by one with no cross-counter atomicity: a
-    /// snapshot racing the flusher may see an append without its flush.
-    /// Each counter is individually exact; after `flush`/`close` returns,
-    /// the barrier ack's channel edge makes the whole snapshot exact.
-    pub(crate) fn snapshot(
-        &self,
-        regions: usize,
-        wal_bytes: u64,
-        segments: usize,
-    ) -> StoreStatsSnapshot {
-        // ordering: Relaxed — see the torn-reads contract above.
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StoreStatsSnapshot {
-            regions,
-            wal_bytes,
-            segments,
-            appends: load(&self.appends),
-            duplicate_appends: load(&self.duplicate_appends),
-            flushed_records: load(&self.flushed_records),
-            fsyncs: load(&self.fsyncs),
-            lookups: load(&self.lookups),
-            hits: load(&self.hits),
-            compactions: load(&self.compactions),
-            recovered_wal_records: load(&self.recovered_wal_records),
-            recovered_segment_records: load(&self.recovered_segment_records),
-            recovered_discarded_bytes: load(&self.recovered_discarded_bytes),
-        }
+    /// `snapshot` loads the counters one by one with no cross-counter
+    /// atomicity: a snapshot racing the flusher may see an append without its
+    /// flush. Each counter is individually exact; after `flush`/`close`
+    /// returns, the barrier ack's channel edge makes the whole snapshot exact.
+    #[derive(Debug, Default)]
+    pub struct StoreStats {}
+    /// A point-in-time view of [`StoreStats`] plus the store gauges.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct StoreStatsSnapshot {}
+    pub(crate) metrics {
+        /// Includes regions still queued for the WAL.
+        supplied gauge usize regions "openapi_store_regions" "Distinct regions durable (or queued durable).";
+        /// Header included.
+        supplied gauge u64 wal_bytes "openapi_store_wal_bytes" "Current WAL length in bytes.";
+        supplied gauge usize segments "openapi_store_segments" "Sealed segment files on disk.";
+        /// Queued for the WAL.
+        atomic counter u64 appends "openapi_store_appends_total" "New regions accepted by the store.";
+        atomic counter u64 duplicate_appends "openapi_store_duplicate_appends_total" "Appends skipped because the region was already durable.";
+        atomic counter u64 flushed_records "openapi_store_flushed_records_total" "Records written to the WAL by the flusher.";
+        /// At most `flushed_records`: the flusher batches.
+        atomic counter u64 fsyncs "openapi_store_fsyncs_total" "Batched fsync calls issued by the flusher.";
+        atomic counter u64 lookups "openapi_store_lookups_total" "Membership lookups served by the store.";
+        atomic counter u64 hits "openapi_store_lookup_hits_total" "Store lookups that found their region.";
+        atomic counter u64 compactions "openapi_store_compactions_total" "Compaction passes completed.";
+        atomic counter u64 recovered_wal_records "openapi_store_recovered_wal_records_total" "Records replayed from the WAL at open.";
+        atomic counter u64 recovered_segment_records "openapi_store_recovered_segment_records_total" "Records replayed from sealed segments at open.";
+        atomic counter u64 recovered_discarded_bytes "openapi_store_recovered_discarded_bytes_total" "Torn or corrupt tail bytes clipped during recovery.";
     }
-}
-
-/// A point-in-time view of [`StoreStats`] plus the store gauges.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoreStatsSnapshot {
-    /// Distinct regions durable (or queued durable) right now.
-    pub regions: usize,
-    /// Current WAL length in bytes (header included).
-    pub wal_bytes: u64,
-    /// Sealed segment files on disk.
-    pub segments: usize,
-    /// New regions accepted.
-    pub appends: u64,
-    /// Appends skipped as already-durable duplicates.
-    pub duplicate_appends: u64,
-    /// Records written to the WAL.
-    pub flushed_records: u64,
-    /// Batched `fsync` calls issued.
-    pub fsyncs: u64,
-    /// Membership lookups served.
-    pub lookups: u64,
-    /// Lookups that found their region.
-    pub hits: u64,
-    /// Compaction passes completed.
-    pub compactions: u64,
-    /// Records replayed from the WAL at open.
-    pub recovered_wal_records: u64,
-    /// Records replayed from sealed segments at open.
-    pub recovered_segment_records: u64,
-    /// Torn/corrupt tail bytes clipped during recovery.
-    pub recovered_discarded_bytes: u64,
 }
 
 impl fmt::Display for StoreStatsSnapshot {
@@ -120,30 +57,5 @@ impl fmt::Display for StoreStatsSnapshot {
             self.recovered_wal_records,
             self.recovered_discarded_bytes
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_reads_what_was_recorded() {
-        let stats = StoreStats::default();
-        StoreStats::add(&stats.appends, 5);
-        StoreStats::add(&stats.duplicate_appends, 2);
-        StoreStats::add(&stats.flushed_records, 5);
-        StoreStats::add(&stats.fsyncs, 1);
-        StoreStats::add(&stats.lookups, 10);
-        StoreStats::add(&stats.hits, 7);
-        let snap = stats.snapshot(5, 1234, 1);
-        assert_eq!(snap.appends, 5);
-        assert_eq!(snap.duplicate_appends, 2);
-        assert_eq!(snap.fsyncs, 1);
-        assert_eq!(snap.hits, 7);
-        assert_eq!(snap.regions, 5);
-        assert_eq!(snap.wal_bytes, 1234);
-        let text = snap.to_string();
-        assert!(text.contains("regions") && text.contains("fsyncs"));
     }
 }

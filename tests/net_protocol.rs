@@ -20,7 +20,11 @@ use openapi_repro::api::{CountingApi, PredictionApi, TwoRegionPlm};
 use openapi_repro::net::wire::{self, ErrorCode, FrameRead, Request, Response};
 use openapi_repro::net::{Client, ClientError, Server, ServerConfig, VERSION};
 use openapi_repro::prelude::*;
+use openapi_repro::serve::{DriftStatsSnapshot, StatsSnapshot};
+use openapi_repro::store::StoreStatsSnapshot;
 use openapi_repro::sync::atomic::{AtomicUsize, Ordering};
+use openapi_repro::trace::expose::Metric;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
@@ -527,26 +531,56 @@ fn batches_return_per_item_results() {
     server.close().expect("clean close");
 }
 
-/// The statistics a remote client fetches are the service's own numbers.
+/// The statistics a remote client fetches are the service's own numbers,
+/// and the exposition renders every declared scalar with the same value.
 #[test]
 fn stats_travel_the_wire_faithfully() {
-    let server = spawn_server(2);
+    let dir = std::env::temp_dir().join(format!("openapi_net_it_stats_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service =
+        InterpretationService::open(CountingApi::new(two_region_plm()), service_config(2), &dir)
+            .expect("open store dir");
+    let server =
+        Server::bind("127.0.0.1:0", service, ServerConfig::default()).expect("ephemeral bind");
     let mut client = Client::connect(server.local_addr()).expect("handshake");
     for i in 0..6 {
         client.interpret(&instance(i), 0).expect("serves");
     }
+    // Quiescent: every request answered and every append flushed.
+    let store = server.service().store().expect("store-backed service");
+    store.flush().expect("flush");
     let local = server.service().stats();
     let remote = client.stats().expect("stats exchange");
-    assert_eq!(remote.requests, local.requests);
-    assert_eq!(remote.hits, local.hits);
-    assert_eq!(remote.misses, local.misses);
-    assert_eq!(remote.coalesced_served, local.coalesced_served);
+    let exposition = client.metrics().expect("metrics exchange");
     assert_eq!(remote.failures, 0);
-    assert_eq!(remote.queries, local.queries);
-    assert_eq!(remote.cached_regions, local.cached_regions);
     assert!(remote.p50_latency.is_some());
-    assert!(remote.store.is_none(), "no store attached");
+    assert!(remote.fabric.is_none() && !exposition.contains("openapi_fabric_"));
+
+    let series: HashMap<&str, u64> = exposition
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.split_once(' '))
+        .filter_map(|(name, value)| Some((name, value.parse().ok()?)))
+        .collect();
+    type Section = fn(&StatsSnapshot) -> Vec<u64>;
+    let sections: [(&[Metric], Section); 3] = [
+        (&StatsSnapshot::METRICS, |s| s.values().to_vec()),
+        (&StoreStatsSnapshot::METRICS, |s| {
+            s.store.as_ref().expect("store section").values().to_vec()
+        }),
+        (&DriftStatsSnapshot::METRICS, |s| {
+            s.drift.expect("drift section").values().to_vec()
+        }),
+    ];
+    for (table, values) in sections {
+        let wire = values(&remote);
+        assert_eq!(wire, values(&local));
+        for (metric, value) in table.iter().zip(wire) {
+            assert_eq!(series.get(metric.name), Some(&value), "{}", metric.name);
+        }
+    }
     server.close().expect("clean close");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `Server::close` is a drain, not an abort: requests in flight when the
