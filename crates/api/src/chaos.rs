@@ -15,6 +15,7 @@
 //! assert the warm path stays bit-identical — or schedule a silent model
 //! swap and assert no stale interpretation survives it.
 
+use crate::degrade::add_noise;
 use crate::traits::{GroundTruthOracle, LocalLinearModel, PredictionApi, RegionId};
 use openapi_linalg::Vector;
 use openapi_sync::atomic::{AtomicU64, Ordering};
@@ -321,19 +322,7 @@ impl<M: PredictionApi> ChaosApi<M> {
             // A derived per-response RNG keeps the main stream's draw
             // count independent of the output dimensionality.
             let mut rng = StdRng::seed_from_u64(noise_seed);
-            for v in p.iter_mut() {
-                *v = (*v + rng.gen_range(-config.noise_amplitude..=config.noise_amplitude))
-                    .clamp(0.0, 1.0);
-            }
-            let sum: f64 = p.iter().sum();
-            if sum > 0.0 {
-                p.scale(1.0 / sum);
-            } else {
-                let c = p.len();
-                for v in p.iter_mut() {
-                    *v = 1.0 / c as f64;
-                }
-            }
+            add_noise(&mut p, config.noise_amplitude, &mut rng);
             // ordering: Relaxed — independent event counter.
             self.noisy.fetch_add(1, Ordering::Relaxed);
         }

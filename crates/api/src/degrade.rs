@@ -124,7 +124,8 @@ impl<M: GroundTruthOracle> GroundTruthOracle for QuantizedApi<M> {
 }
 
 /// Adds zero-mean uniform noise `±amplitude` to each probability, clamps to
-/// `[0, 1]`, and renormalizes.
+/// `[0, 1]`, and renormalizes. At amplitude 0 outputs pass through
+/// untouched.
 ///
 /// The RNG sits behind a mutex so the wrapper stays `Sync`; determinism
 /// comes from the seed, with draws consumed in query order.
@@ -169,22 +170,31 @@ impl<M: PredictionApi> PredictionApi for NoisyApi<M> {
 
     fn predict(&self, x: &[f64]) -> Vector {
         let mut p = self.inner.predict(x);
-        if self.amplitude > 0.0 {
-            let mut rng = self.rng.lock();
-            for v in p.iter_mut() {
-                *v = (*v + rng.gen_range(-self.amplitude..=self.amplitude)).clamp(0.0, 1.0);
-            }
-        }
-        let sum: f64 = p.iter().sum();
-        if sum > 0.0 {
-            p.scale(1.0 / sum);
-        } else {
-            let c = p.len();
-            for v in p.iter_mut() {
-                *v = 1.0 / c as f64;
-            }
-        }
+        add_noise(&mut p, self.amplitude, &mut *self.rng.lock());
         p
+    }
+}
+
+/// Adds zero-mean uniform noise `±amplitude` to each probability, drawn
+/// from `rng` in class order, clamps to `[0, 1]`, and renormalizes
+/// (uniform when every class clamps to zero). At amplitude 0 `p` is left
+/// untouched and `rng` is not drawn from. Shared by [`NoisyApi`] and the
+/// chaos backend's noise bursts.
+pub(crate) fn add_noise<R: Rng>(p: &mut Vector, amplitude: f64, rng: &mut R) {
+    if amplitude <= 0.0 {
+        return;
+    }
+    for v in p.iter_mut() {
+        *v = (*v + rng.gen_range(-amplitude..=amplitude)).clamp(0.0, 1.0);
+    }
+    let sum: f64 = p.iter().sum();
+    if sum > 0.0 {
+        p.scale(1.0 / sum);
+    } else {
+        let c = p.len();
+        for v in p.iter_mut() {
+            *v = 1.0 / c as f64;
+        }
     }
 }
 

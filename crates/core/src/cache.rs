@@ -258,16 +258,6 @@ impl RegionCache {
         self.hand = 0;
     }
 
-    /// Iterates the cached regions (for snapshots); order is the current
-    /// scan order. Entries are `Arc` clones — no parameter payload is
-    /// copied.
-    pub fn iter(&self) -> impl Iterator<Item = CachedRegion> + '_ {
-        self.entries.iter().map(|e| CachedRegion {
-            fingerprint: e.fingerprint,
-            interpretation: Arc::clone(&e.interpretation),
-        })
-    }
-
     /// Black-box membership lookup: the first cached region of `class`
     /// whose core parameters explain the prediction `probs` observed at
     /// `x` (Theorem 2 — see [`Interpretation::explains_probe`]), found by
@@ -833,8 +823,9 @@ mod tests {
         assert_eq!(cache.len(), 100);
         assert_eq!(cache.evictions(), 0);
         let firsts: Vec<f64> = cache
+            .entries
             .iter()
-            .map(|r| r.interpretation.pairwise[0].weights[0])
+            .map(|e| e.interpretation.pairwise[0].weights[0])
             .collect();
         assert_eq!(firsts, (0..100).map(|i| i as f64).collect::<Vec<_>>());
     }

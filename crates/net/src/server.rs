@@ -530,7 +530,7 @@ fn handle_request<M: PredictionApi + Send + Sync + 'static>(
             max_bytes,
         } => match shared.service.store() {
             Some(store) => {
-                let delta = store.sync_delta(&buckets, &have, max_bytes as usize);
+                let delta = store.sync_delta(&buckets, &have, wire::sync_pull_budget(max_bytes));
                 RequestSpan::detached().event(Stage::FabricPull, delta.records);
                 Slot::Ready(Box::new(Response::SyncPullReply(delta)))
             }

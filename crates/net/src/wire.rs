@@ -50,6 +50,19 @@ pub const SERVER_HELLO_LEN: usize = 28;
 /// [`openapi_store::record::MAX_PAYLOAD`]).
 pub const MAX_BATCH: usize = 1024;
 
+/// Bytes a [`Response::SyncPullReply`] payload spends besides its record
+/// frames: tag, `u64` record count, truncated flag, `u64` frames length.
+const SYNC_PULL_REPLY_OVERHEAD: usize = 1 + 8 + 1 + 8;
+
+/// The frame budget a server grants a [`Request::SyncPull`]: the peer's
+/// `max_bytes`, clamped so the whole reply still fits one legal frame
+/// ([`openapi_store::record::MAX_PAYLOAD`]). Unclamped, a peer asking for
+/// `u64::MAX` from a large store gets a reply its reader refuses.
+pub(crate) fn sync_pull_budget(max_bytes: u64) -> usize {
+    let cap = record::MAX_PAYLOAD as usize - SYNC_PULL_REPLY_OVERHEAD;
+    usize::try_from(max_bytes).map_or(cap, |m| m.min(cap))
+}
+
 /// Request tag: [`Request::Ping`].
 pub const TAG_PING: u8 = 0x01;
 /// Request tag: [`Request::Interpret`].
@@ -342,7 +355,8 @@ pub enum Request {
         /// those buckets; the server ships only what is absent here.
         have: Vec<u64>,
         /// Soft cap on shipped frame bytes; the server marks the reply
-        /// truncated when it stops early, and the caller pulls again.
+        /// truncated when it stops early, and the caller pulls again. The
+        /// server lowers it as needed to keep the reply within one frame.
         max_bytes: u64,
     },
 }
@@ -1270,6 +1284,29 @@ mod tests {
             truncated: true,
         }));
         roundtrip_response(Response::SyncPullReply(SyncDelta::default()));
+    }
+
+    #[test]
+    fn sync_pull_budget_keeps_the_reply_within_one_frame() {
+        let cap = record::MAX_PAYLOAD as usize - SYNC_PULL_REPLY_OVERHEAD;
+        assert_eq!(sync_pull_budget(u64::MAX), cap);
+        assert_eq!(sync_pull_budget(cap as u64 + 1), cap);
+        assert_eq!(sync_pull_budget(cap as u64), cap);
+        assert_eq!(sync_pull_budget(64), 64);
+        assert_eq!(sync_pull_budget(0), 0);
+        // The overhead is the codec's: a reply carrying `n` frame bytes
+        // encodes to exactly `FRAME_HEADER + OVERHEAD + n` bytes, so a
+        // budget-sized delta lands on MAX_PAYLOAD, not past it.
+        let frames = vec![0u8; 37];
+        let encoded = encode_response(&Response::SyncPullReply(SyncDelta {
+            frames,
+            records: 1,
+            truncated: false,
+        }));
+        assert_eq!(
+            encoded.len(),
+            record::FRAME_HEADER + SYNC_PULL_REPLY_OVERHEAD + 37
+        );
     }
 
     /// The protocol-v2 `StatsReply` layout, pinned byte for byte: any

@@ -16,8 +16,7 @@
 //!   `openapi_sync::RwLock`, with a capacity bound and CLOCK eviction so
 //!   memory stays flat under millions of distinct regions. Slots hold
 //!   `Arc<Interpretation>`, so a hit is a reference-count bump, never a
-//!   multi-KB parameter copy. Snapshot / restore ([`CacheSnapshot`]) lets
-//!   a service warm-start from a prior run's solved regions.
+//!   multi-KB parameter copy.
 //! * [`InterpretationService`] — a worker pool (crossbeam channels) that
 //!   accepts [`InterpretRequest`]s and returns [`Ticket`] handles the
 //!   caller can block on ([`Ticket::wait`]) or poll ([`Ticket::poll`]).
@@ -119,7 +118,6 @@
 pub mod coalesce;
 mod service;
 mod shared_cache;
-mod snapshot;
 mod stats;
 
 pub use coalesce::{ClassLedger, Election};
@@ -128,7 +126,6 @@ pub use service::{
     ServeError, ServeOutcome, Served, ServiceConfig, ServiceCore, Ticket,
 };
 pub use shared_cache::{SharedCacheConfig, SharedRegionCache};
-pub use snapshot::{CacheSnapshot, SnapshotEntry, SnapshotError};
 pub use stats::{
     DriftStats, DriftStatsSnapshot, FabricStats, FabricStatsSnapshot, ServiceStats, StageSlot,
     StatsSnapshot, STAGES, STAGE_NAMES,

@@ -3,7 +3,6 @@
 
 use crate::coalesce::{ClassLedger, Election};
 use crate::shared_cache::{SharedCacheConfig, SharedRegionCache};
-use crate::snapshot::CacheSnapshot;
 use crate::stats::{DriftStats, FabricStats, ServiceStats, StageSlot, StatsSnapshot};
 use crossbeam::channel::{self, Receiver, Sender};
 use openapi_api::PredictionApi;
@@ -38,9 +37,6 @@ pub struct ServiceConfig {
     /// Master seed; each request's sampling RNG derives from
     /// `(seed, request id)`, so a fixed submission order replays exactly.
     pub seed: u64,
-    /// Whether concurrent same-class misses coalesce onto in-flight
-    /// solves (`true` by default; disable to benchmark the difference).
-    pub coalesce: bool,
     /// How many Algorithm-1 solves of one class may run concurrently
     /// before further misses park as waiters (clamped to ≥ 1; default 4).
     /// A class's region identity is unknowable before its solve, so
@@ -60,7 +56,6 @@ impl Default for ServiceConfig {
             cache: SharedCacheConfig::default(),
             openapi: OpenApiConfig::default(),
             seed: 42,
-            coalesce: true,
             max_leaders_per_class: 4,
         }
     }
@@ -423,7 +418,7 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
         &self.inner.config
     }
 
-    /// Borrow the shared region cache (e.g. to snapshot it).
+    /// Borrow the shared region cache.
     pub fn cache(&self) -> &SharedRegionCache {
         &self.inner.cache
     }
@@ -673,18 +668,6 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
     /// touch the stale region. Returns the number of regions invalidated.
     pub fn audit_drift(&self) -> u64 {
         audit_drift(self.inner.as_ref())
-    }
-
-    /// Snapshot of the solved regions, for [`CacheSnapshot::to_bytes`] /
-    /// warm-starting another service.
-    pub fn snapshot_cache(&self) -> CacheSnapshot {
-        self.inner.cache.snapshot()
-    }
-
-    /// Warm-starts the cache from a prior run's snapshot; returns the
-    /// number of entries admitted.
-    pub fn restore_cache(&self, snapshot: &CacheSnapshot) -> usize {
-        self.inner.cache.restore(snapshot)
     }
 
     /// Graceful shutdown: drains and joins the workers, then closes the
@@ -1117,36 +1100,32 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
     // The probe rides in the job across the election: a parked request is
     // settled (or requeued) with its probe intact and never pays it twice.
     job.probs = Some(probs);
-    let leadership = if inner.config.coalesce {
-        let class = job.class;
-        // The span outlives the election either way; keep a copy so the
-        // parked branch (which surrenders the job to the ledger) can
-        // still emit its event.
-        let span = job.span;
-        match inner
-            .ledger
-            .try_lead(class, inner.config.max_leaders_per_class, job)
-        {
-            Election::Parked => {
-                // The class is at its concurrent-solve limit: parked (the
-                // limit check and the park were one atomic step inside the
-                // ledger). A finishing leader's result decides our fate —
-                // serve if it explains our probe, requeue otherwise.
-                ServiceStats::add(&inner.stats.coalesced_waits, 1);
-                span.event(Stage::CoalesceWait, 0);
-                return;
-            }
-            Election::Led(led) => {
-                job = led;
-                job.span.event(Stage::CoalesceLead, 0);
-                // Guard constructed immediately after winning the slot: from
-                // here on, a panic anywhere in the solve steps this leader
-                // down via `Drop`.
-                Some(LeaderGuard::new(inner, tx, class))
-            }
+    let class = job.class;
+    // The span outlives the election either way; keep a copy so the
+    // parked branch (which surrenders the job to the ledger) can still
+    // emit its event.
+    let span = job.span;
+    let leadership = match inner
+        .ledger
+        .try_lead(class, inner.config.max_leaders_per_class, job)
+    {
+        Election::Parked => {
+            // The class is at its concurrent-solve limit: parked (the
+            // limit check and the park were one atomic step inside the
+            // ledger). A finishing leader's result decides our fate —
+            // serve if it explains our probe, requeue otherwise.
+            ServiceStats::add(&inner.stats.coalesced_waits, 1);
+            span.event(Stage::CoalesceWait, 0);
+            return;
         }
-    } else {
-        None
+        Election::Led(led) => {
+            job = led;
+            job.span.event(Stage::CoalesceLead, 0);
+            // Guard constructed immediately after winning the slot: from
+            // here on, a panic anywhere in the solve steps this leader
+            // down via `Drop`.
+            LeaderGuard::new(inner, tx, class)
+        }
     };
     let probs = job.probs.take().expect("the probe rides the election");
 
@@ -1159,7 +1138,7 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
     // same-class concurrency, so the scan serializes nobody — and only in
     // the rare race, when the generation says a solve completed since our
     // lookup began.
-    let recheck = (leadership.is_some() && inner.ledger.generation() != generation)
+    let recheck = (inner.ledger.generation() != generation)
         .then(|| {
             inner
                 .cache
@@ -1190,10 +1169,8 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
         }
     };
 
-    if let Some(guard) = leadership {
-        let waiters = guard.release();
-        settle_waiters(inner, tx, solved.as_ref(), waiters);
-    }
+    let waiters = leadership.release();
+    settle_waiters(inner, tx, solved.as_ref(), waiters);
 
     let result = match solved {
         Ok((interpretation, fingerprint)) => Ok(Served {
@@ -1807,13 +1784,12 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_snapshot_degrades_to_misses_not_poisoned_lookups() {
-        // Regression: an entry recovered from a DIFFERENT model (contrast
-        // class 4 in a 2-class service) lands in the cache via restore; it
-        // must simply never pass membership — requests for its class still
-        // solve and succeed, rather than every lookup panicking on the
-        // foreign entry and killing the class.
-        use crate::snapshot::SnapshotEntry;
+    fn foreign_cache_entry_degrades_to_misses_not_poisoned_lookups() {
+        // Regression: an entry solved against a DIFFERENT model (contrast
+        // class 4 in a 2-class service) lands in the cache; it must simply
+        // never pass membership — requests for its class still solve and
+        // succeed, rather than every lookup panicking on the foreign entry
+        // and killing the class.
         use openapi_core::decision::PairwiseCoreParams;
 
         let foreign = Interpretation::from_pairwise(
@@ -1825,44 +1801,15 @@ mod tests {
             }],
         )
         .unwrap();
-        let snapshot = CacheSnapshot {
-            entries: vec![SnapshotEntry {
-                fingerprint: foreign.fingerprint(6),
-                interpretation: Arc::new(foreign),
-            }],
-        };
         let svc = service(2);
-        assert_eq!(svc.restore_cache(&snapshot), 1);
+        svc.cache().insert(Arc::new(foreign));
+        assert_eq!(svc.cache().len(), 1);
         let served = svc
             .submit_instance(Vector(vec![0.2, 0.1]), 0)
             .wait()
             .expect("foreign cache entry must not poison the class");
         assert_eq!(served.outcome, ServeOutcome::Solved);
         assert_eq!(svc.stats().failures, 0);
-    }
-
-    #[test]
-    fn warm_start_from_snapshot_skips_the_solves() {
-        let svc = service(2);
-        let xs: Vec<Vector> = vec![Vector(vec![0.2, 0.3]), Vector(vec![0.8, -0.2])];
-        for x in &xs {
-            svc.submit_instance(x.clone(), 0).wait().unwrap();
-        }
-        let snapshot = svc.snapshot_cache();
-        assert_eq!(snapshot.entries.len(), 2);
-        let bytes = snapshot.to_bytes();
-
-        // A brand-new service restored from the bytes serves both regions
-        // from cache: zero solves, one probe per request.
-        let restored = CacheSnapshot::from_bytes(&bytes).unwrap();
-        let svc2 = service(2);
-        assert_eq!(svc2.restore_cache(&restored), 2);
-        for x in &xs {
-            let served = svc2.submit_instance(x.clone(), 0).wait().unwrap();
-            assert_eq!(served.outcome, ServeOutcome::CacheHit);
-            assert_eq!(served.queries, 1);
-        }
-        assert_eq!(svc2.stats().misses, 0);
     }
 
     #[test]
@@ -1923,7 +1870,7 @@ mod tests {
 
     #[test]
     fn store_from_a_different_model_degrades_to_solves() {
-        // Mirror of the mismatched-snapshot test against the store tier: a
+        // Mirror of the foreign-cache-entry test against the store tier: a
         // directory written by a DIFFERENT model must never poison serves —
         // membership re-verification guards every store hit.
         let dir = temp_store_dir("foreign");

@@ -26,8 +26,8 @@
 //!
 //! Every record on every surface uses one codec ([`record`]): a
 //! `(fingerprint, Interpretation)` payload inside a `len + CRC-64/XZ`
-//! frame. The cache snapshot format in `openapi-serve` wraps the same
-//! frames, so the workspace has exactly one persistence framing to audit.
+//! frame. The wire (`openapi-net`) carries the same frames, so the
+//! workspace has exactly one persistence framing to audit.
 //! *Tombstones* — "forget this region" facts emitted by the drift
 //! detector when the hidden model was silently swapped — travel in the
 //! same framing ([`record::RegionTombstone`]): they replay from the WAL,

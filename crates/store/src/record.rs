@@ -1,8 +1,8 @@
 //! The one record codec every persistence surface shares.
 //!
-//! A *record* is one `(fingerprint, Interpretation)` pair. On every durable
-//! surface — the write-ahead log, sealed segments, and the cache snapshot in
-//! `openapi-serve` — a record travels inside a *frame*:
+//! A *record* is one `(fingerprint, Interpretation)` pair. On every
+//! surface — the write-ahead log, sealed segments, and the wire's
+//! interpret replies and sync deltas — a record travels inside a *frame*:
 //!
 //! ```text
 //! ┌────────────┬────────────┬─────────────────────┐

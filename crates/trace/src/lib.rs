@@ -25,11 +25,10 @@
 //! * **[`expose`]** — a Prometheus-text builder used by the `Metrics`
 //!   wire request and the example server's `--metrics-addr` listener.
 //!
-//! Everything event-related sits behind the **`trace` cargo feature**
-//! (default on). With it off, spans are id 0, [`emit`] and friends are
-//! inline no-ops, and the ring is not compiled; [`clock`] and [`expose`]
-//! remain, so dependent crates need no features of their own. At runtime,
-//! [`set_runtime_enabled`] is a kill switch used by the overhead bench.
+//! Tracing is always compiled in. [`set_runtime_enabled`] is its one off
+//! switch: with it off, new spans are detached (id 0) and [`emit`] and
+//! friends return after one relaxed load, so nothing reaches the ring.
+//! The overhead bench flips it to measure one binary both ways.
 //!
 //! See `docs/OBSERVABILITY.md` for the event model, stage taxonomy, and
 //! exposition conventions.
@@ -37,7 +36,6 @@
 pub mod clock;
 mod event;
 pub mod expose;
-#[cfg(feature = "trace")]
 pub mod ring;
 pub mod slowlog;
 mod span;
@@ -45,37 +43,21 @@ mod span;
 pub use event::{Stage, TraceEvent};
 pub use span::{current, emit, enter, RequestSpan, SpanGuard};
 
-#[cfg(feature = "trace")]
 pub use ring::RingStats;
 
-/// Emit/drop counters mirror for the disabled build (always zero).
-#[cfg(not(feature = "trace"))]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RingStats {
-    /// Events committed (always 0: the ring is compiled out).
-    pub emitted: u64,
-    /// Events dropped (always 0: the ring is compiled out).
-    pub dropped: u64,
-}
-
-#[cfg(feature = "trace")]
 use openapi_sync::atomic::{AtomicBool, Ordering};
 
 /// Capacity of the global event ring, in events (~192 KiB of atomics).
-#[cfg(feature = "trace")]
 pub const RING_CAP: usize = 4096;
 
-#[cfg(feature = "trace")]
 static RING: ring::Ring<RING_CAP> = ring::Ring::new();
 
 /// Runtime kill switch; `true` at startup. The overhead bench flips it to
 /// measure the same binary with and without tracing.
-#[cfg(feature = "trace")]
 static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether tracing is live: the `trace` feature is compiled in *and* the
-/// runtime switch is on. Event emission checks this once per call.
-#[cfg(feature = "trace")]
+/// Whether tracing is live: the runtime switch is on. Event emission
+/// checks this once per call.
 #[inline]
 pub fn enabled() -> bool {
     // ordering: Relaxed — a monitoring kill switch; emission order versus
@@ -83,58 +65,29 @@ pub fn enabled() -> bool {
     RUNTIME_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Whether tracing is live (`false`: compiled out).
-#[cfg(not(feature = "trace"))]
-#[inline]
-pub fn enabled() -> bool {
-    false
-}
-
-/// Flips the runtime kill switch (no-op when tracing is compiled out).
-/// Used by `net_throughput` to measure enabled-vs-disabled overhead in
-/// one binary.
-#[cfg(feature = "trace")]
+/// Flips the runtime kill switch. Used by `net_throughput` to measure
+/// enabled-vs-disabled overhead in one binary.
 pub fn set_runtime_enabled(on: bool) {
     // ordering: Relaxed — see `enabled`.
     RUNTIME_ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Flips the runtime kill switch (no-op: tracing is compiled out).
-#[cfg(not(feature = "trace"))]
-pub fn set_runtime_enabled(_on: bool) {}
-
 /// Pushes one event into the global ring (crate-internal hot path).
-#[cfg(feature = "trace")]
 pub(crate) fn ring_push(ev: &TraceEvent) {
     RING.push(ev);
 }
 
-/// Snapshots the global ring's committed events, oldest first. Empty when
-/// tracing is compiled out.
-#[cfg(feature = "trace")]
+/// Snapshots the global ring's committed events, oldest first.
 pub fn snapshot_events() -> Vec<TraceEvent> {
     RING.snapshot()
 }
 
-/// Snapshots the global ring (tracing compiled out: always empty).
-#[cfg(not(feature = "trace"))]
-pub fn snapshot_events() -> Vec<TraceEvent> {
-    Vec::new()
-}
-
 /// The global ring's emit/drop counters.
-#[cfg(feature = "trace")]
 pub fn ring_stats() -> RingStats {
     RING.stats()
 }
 
-/// The global ring's emit/drop counters (tracing compiled out: zeros).
-#[cfg(not(feature = "trace"))]
-pub fn ring_stats() -> RingStats {
-    RingStats::default()
-}
-
-#[cfg(all(test, not(loom), feature = "trace"))]
+#[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
 

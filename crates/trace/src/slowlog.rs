@@ -6,12 +6,11 @@
 //! such request renders to stderr — as an indented stage timeline
 //! ([`Format::Text`]) or as one JSON object per line ([`Format::Jsonl`]).
 //!
-//! With the `trace` feature off, [`observe`] is an inline no-op and the
-//! configuration setters do nothing.
+//! With the runtime switch off ([`crate::set_runtime_enabled`]),
+//! [`observe`] returns at once.
 
 use std::time::Duration;
 
-#[cfg(feature = "trace")]
 use openapi_sync::atomic::{AtomicU64, Ordering};
 
 /// The names of the per-stage slots in an [`observe`] breakdown, in
@@ -32,20 +31,15 @@ pub enum Format {
 }
 
 /// Threshold in nanos; 0 = disabled (the default).
-#[cfg(feature = "trace")]
 static SLOW_NS: AtomicU64 = AtomicU64::new(0);
 /// Log every `n`-th over-threshold request; minimum 1.
-#[cfg(feature = "trace")]
 static SAMPLE: AtomicU64 = AtomicU64::new(1);
 /// 0 = text, 1 = jsonl.
-#[cfg(feature = "trace")]
 static FORMAT: AtomicU64 = AtomicU64::new(0);
 /// Over-threshold requests seen (drives sampling).
-#[cfg(feature = "trace")]
 static SEEN: AtomicU64 = AtomicU64::new(0);
 
 /// Sets the slow-request threshold; `None` disables the log (default).
-#[cfg(feature = "trace")]
 pub fn set_threshold(threshold: Option<Duration>) {
     let ns = threshold.map_or(0, |d| {
         u64::try_from(d.as_nanos()).unwrap_or(u64::MAX).max(1)
@@ -56,14 +50,12 @@ pub fn set_threshold(threshold: Option<Duration>) {
 
 /// Sets the sampling stride: log every `n`-th over-threshold request
 /// (0 is treated as 1).
-#[cfg(feature = "trace")]
 pub fn set_sample(n: u64) {
     // ordering: Relaxed — a configuration cell read by monitoring code.
     SAMPLE.store(n.max(1), Ordering::Relaxed);
 }
 
 /// Sets the output format (default [`Format::Text`]).
-#[cfg(feature = "trace")]
 pub fn set_format(format: Format) {
     let v = match format {
         Format::Text => 0,
@@ -75,7 +67,6 @@ pub fn set_format(format: Format) {
 
 /// Reports one settled request. Logs it to stderr when the slow log is
 /// enabled, `total` crosses the threshold, and sampling selects it.
-#[cfg(feature = "trace")]
 pub fn observe(span: u64, total: Duration, stage_ns: &[u64; STAGES]) {
     if !crate::enabled() {
         return;
@@ -101,27 +92,6 @@ pub fn observe(span: u64, total: Duration, stage_ns: &[u64; STAGES]) {
     };
     eprint!("{}", render(span, total_ns, stage_ns, format));
 }
-
-/// Disabled-build no-ops: the call sites compile away.
-#[cfg(not(feature = "trace"))]
-mod disabled {
-    use super::*;
-
-    /// No-op (tracing compiled out).
-    #[inline]
-    pub fn set_threshold(_threshold: Option<Duration>) {}
-    /// No-op (tracing compiled out).
-    #[inline]
-    pub fn set_sample(_n: u64) {}
-    /// No-op (tracing compiled out).
-    #[inline]
-    pub fn set_format(_format: Format) {}
-    /// No-op (tracing compiled out).
-    #[inline]
-    pub fn observe(_span: u64, _total: Duration, _stage_ns: &[u64; STAGES]) {}
-}
-#[cfg(not(feature = "trace"))]
-pub use disabled::{observe, set_format, set_sample, set_threshold};
 
 /// Renders one slow-request record (pure; unit-tested directly).
 pub fn render(span: u64, total_ns: u64, stage_ns: &[u64; STAGES], format: Format) -> String {

@@ -8,19 +8,15 @@
 //! *thread-current* span, installed with [`enter`] for the duration of a
 //! job.
 //!
-//! With the `trace` feature off every function here is an inline no-op:
-//! spans are id 0, nothing reaches the ring.
+//! With the runtime switch off ([`crate::set_runtime_enabled`]) new spans
+//! are id 0 and nothing reaches the ring.
 
-use crate::event::Stage;
+use crate::clock;
+use crate::event::{Stage, TraceEvent};
+use openapi_sync::atomic::{AtomicU64, Ordering};
 use std::cell::Cell;
 
-#[cfg(feature = "trace")]
-use crate::{clock, event::TraceEvent};
-#[cfg(feature = "trace")]
-use openapi_sync::atomic::{AtomicU64, Ordering};
-
 /// Span id allocator. Ids start at 1; 0 is the detached/process span.
-#[cfg(feature = "trace")]
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 
 /// A handle naming one request's span: its id and its parent's id
@@ -44,7 +40,6 @@ impl RequestSpan {
         RequestSpan::mint(self.id)
     }
 
-    #[cfg(feature = "trace")]
     fn mint(parent: u64) -> RequestSpan {
         if !crate::enabled() {
             return RequestSpan::detached();
@@ -55,11 +50,6 @@ impl RequestSpan {
         let span = RequestSpan { id, parent };
         span.event(Stage::Begin, parent);
         span
-    }
-
-    #[cfg(not(feature = "trace"))]
-    fn mint(_parent: u64) -> RequestSpan {
-        RequestSpan::detached()
     }
 
     /// The detached process span (id 0): events that belong to no single
@@ -86,8 +76,7 @@ impl RequestSpan {
     }
 
     /// Emits one event on this span into the global ring. No-op when
-    /// tracing is disabled (compile-time or runtime).
-    #[cfg(feature = "trace")]
+    /// tracing is disabled at runtime.
     pub fn event(&self, stage: Stage, payload: u64) {
         if !crate::enabled() {
             return;
@@ -101,16 +90,10 @@ impl RequestSpan {
         });
     }
 
-    /// Emits one event on this span (disabled build: inline no-op).
-    #[cfg(not(feature = "trace"))]
-    #[inline]
-    pub fn event(&self, _stage: Stage, _payload: u64) {}
-
     /// Like [`event`](Self::event), but stamps the event with an instant
     /// the caller already read through [`crate::clock::now`] — stage
     /// timers end with a clock read in hand, and reusing it keeps the
     /// traced hot path one clock read per measurement instead of two.
-    #[cfg(feature = "trace")]
     pub fn event_at(&self, stage: Stage, payload: u64, at: std::time::Instant) {
         if !crate::enabled() {
             return;
@@ -123,11 +106,6 @@ impl RequestSpan {
             payload,
         });
     }
-
-    /// Emits one stamped event (disabled build: inline no-op).
-    #[cfg(not(feature = "trace"))]
-    #[inline]
-    pub fn event_at(&self, _stage: Stage, _payload: u64, _at: std::time::Instant) {}
 }
 
 thread_local! {
@@ -197,7 +175,6 @@ mod tests {
         assert_eq!(current(), RequestSpan::detached());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn children_parent_on_their_root() {
         let root = RequestSpan::root();
@@ -206,12 +183,5 @@ mod tests {
         assert_ne!(child.id(), root.id());
         assert_eq!(child.parent(), root.id());
         assert_eq!(root.parent(), 0);
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn disabled_spans_are_all_detached() {
-        assert_eq!(RequestSpan::root(), RequestSpan::detached());
-        assert_eq!(RequestSpan::root().child(), RequestSpan::detached());
     }
 }

@@ -412,6 +412,32 @@ fn fabric_requires_protocol_v2() {
     assert_eq!(VERSION, 2);
 }
 
+/// An unbounded pull budget is clamped server-side to what one reply
+/// frame can carry, not refused or truncated: a peer asking for
+/// `u64::MAX` bytes of a small store gets its whole delta in one reply.
+#[test]
+fn unbounded_pull_budget_still_returns_the_full_delta() {
+    let dir = temp_dir("unbounded");
+    let server = spawn_node(&dir, 3);
+    let mut client = Client::connect(server.local_addr()).expect("handshake");
+    for i in 0..4 {
+        client.interpret(&instance(i), 0).expect("serves");
+    }
+    let store = server.service().store().expect("node has a store");
+
+    let all: Vec<u32> = (0..DIGEST_BUCKETS as u32).collect();
+    let delta = client
+        .sync_pull(&all, &[], usize::MAX)
+        .expect("an unbounded pull is answered");
+    assert_eq!(delta.records, 2, "two regions, one record each");
+    assert!(!delta.truncated);
+    assert_eq!(delta.frames, full_dump(store));
+
+    drop(client);
+    server.close().expect("closes clean");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The anti-resurrection scenario: once any node tombstones a region,
 /// the suppression replicates like any other fact, beats the live record
 /// in every arrival order, and drives the cluster back to digest

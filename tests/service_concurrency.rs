@@ -3,13 +3,14 @@
 //! paper's guarantees must hold under contention — every returned
 //! interpretation explains its own probe (exactness via Theorem 2), the
 //! bounded cache never exceeds its capacity, and the statistics ledger adds
-//! up request by request. Plus a property-based round-trip of the cache
-//! snapshot codec.
+//! up request by request. Plus a property-based round-trip of the store's
+//! record codec, the one format solved regions are persisted and shipped in.
 
 use openapi_repro::api::CountingApi;
 use openapi_repro::core::decision::PairwiseCoreParams;
 use openapi_repro::prelude::*;
-use openapi_repro::serve::{CacheSnapshot, ServeOutcome, SnapshotEntry, Ticket};
+use openapi_repro::serve::{ServeOutcome, Ticket};
+use openapi_repro::store::record::{encode_record, get_record};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -214,25 +215,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn cache_snapshot_round_trips_fingerprints_and_parameters(
+    fn store_record_round_trips_fingerprints_and_parameters(
         interps in prop::collection::vec(arb_interpretation(), 0..8)
     ) {
-        let snapshot = CacheSnapshot {
-            entries: interps
-                .iter()
-                .map(|i| SnapshotEntry {
-                    fingerprint: i.fingerprint(6),
-                    interpretation: std::sync::Arc::new(i.clone()),
-                })
-                .collect(),
-        };
-        let decoded = CacheSnapshot::from_bytes(&snapshot.to_bytes()).unwrap();
-        prop_assert_eq!(&decoded, &snapshot);
-        for (entry, original) in decoded.entries.iter().zip(&interps) {
+        // Back to back in one buffer, as in a WAL or a sync delta.
+        let bytes: Vec<u8> = interps
+            .iter()
+            .flat_map(|i| encode_record(i.fingerprint(6), i))
+            .collect();
+        let mut rest = bytes.as_slice();
+        for original in &interps {
+            let decoded = get_record(&mut rest).unwrap();
             // Recovered parameters are bit-identical…
-            prop_assert_eq!(entry.interpretation.as_ref(), original);
+            prop_assert_eq!(decoded.interpretation.as_ref(), original);
             // …so the canonical fingerprint recomputes identically too.
-            prop_assert_eq!(entry.fingerprint, entry.interpretation.fingerprint(6));
+            prop_assert_eq!(decoded.fingerprint, original.fingerprint(6));
+            prop_assert_eq!(decoded.fingerprint, decoded.interpretation.fingerprint(6));
         }
+        prop_assert!(rest.is_empty(), "{} trailing bytes", rest.len());
     }
 }

@@ -20,10 +20,7 @@
 //! nothing the assertions need is overwritten (a few hundred events in a
 //! 4096-slot ring).
 
-// With tracing compiled out every span id is 0 and the ring is empty —
-// there is no span graph to check, so the suite only exists when the
-// `trace` feature is on.
-#![cfg(all(not(loom), feature = "trace"))]
+#![cfg(not(loom))]
 
 use openapi_repro::api::{CountingApi, TwoRegionPlm};
 use openapi_repro::net::{Client, Server, ServerConfig};
