@@ -78,22 +78,11 @@ impl<M: PredictionApi> PredictionApi for QuantizedApi<M> {
 
     fn predict(&self, x: &[f64]) -> Vector {
         let mut p = self.inner.predict(x);
-        let mut sum = 0.0;
         for v in p.iter_mut() {
             *v = (*v * self.scale).round() / self.scale;
-            sum += *v;
         }
         if self.renormalize {
-            if sum > 0.0 {
-                p.scale(1.0 / sum);
-            } else {
-                // Every class rounded to zero: fall back to uniform, as a
-                // renormalizing service would rather than divide by zero.
-                let c = p.len();
-                for v in p.iter_mut() {
-                    *v = 1.0 / c as f64;
-                }
-            }
+            renormalize(&mut p);
         }
         p
     }
@@ -187,6 +176,12 @@ pub(crate) fn add_noise<R: Rng>(p: &mut Vector, amplitude: f64, rng: &mut R) {
     for v in p.iter_mut() {
         *v = (*v + rng.gen_range(-amplitude..=amplitude)).clamp(0.0, 1.0);
     }
+    renormalize(p);
+}
+
+/// Scales `p` to sum to 1. When every class is zero it falls back to
+/// uniform, as a renormalizing service would rather than divide by zero.
+fn renormalize(p: &mut Vector) {
     let sum: f64 = p.iter().sum();
     if sum > 0.0 {
         p.scale(1.0 / sum);

@@ -38,14 +38,19 @@
 //!
 //! The cache itself lives in [`crate::cache::RegionCache`] — the sharded
 //! concurrent tier in `openapi-serve` wraps the same structure, so both
-//! share one membership-probe code path. [`BatchStats`] exposes the
-//! hit/miss/query accounting a capacity planner needs.
+//! share one membership-probe code path. The batch layer is a plain loop
+//! over it, one instance at a time in input order: probe, lookup, and on a
+//! miss Algorithm 1 from that probe, then admit — so every instance sees
+//! the regions solved before it. [`BatchStats`] exposes the hit/miss/query
+//! accounting a capacity planner needs.
 
-use crate::cache::{CachedRegion, ProbeRef, RegionCache, RegionCacheConfig};
+use crate::cache::{CachedRegion, RegionCache, RegionCacheConfig};
 use crate::decision::{Interpretation, RegionFingerprint};
 use crate::equations::Probe;
 use crate::error::InterpretError;
-use crate::openapi::{OpenApiConfig, OpenApiInterpreter};
+use crate::openapi::{
+    queries_consumed, validate_class, validate_request, OpenApiConfig, OpenApiInterpreter,
+};
 use openapi_api::{GroundTruthOracle, PredictionApi, RegionId};
 use openapi_linalg::Vector;
 use rand::Rng;
@@ -78,8 +83,7 @@ impl Default for BatchConfig {
     }
 }
 
-/// Hit/miss/query accounting for one batch (and cumulatively for the
-/// interpreter's lifetime via [`BatchInterpreter::lifetime_stats`]).
+/// Hit/miss/query accounting for one batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Instances submitted.
@@ -92,25 +96,8 @@ pub struct BatchStats {
     pub failures: usize,
     /// Prediction queries issued to the API.
     pub queries: usize,
-    /// Distinct cached regions: for a per-batch outcome, the entries for the
-    /// batch's class after processing; in
-    /// [`BatchInterpreter::lifetime_stats`], the total cache size over all
-    /// classes (equal to [`BatchInterpreter::cached_regions`]).
+    /// Distinct cached regions for the batch's class after processing.
     pub regions: usize,
-}
-
-impl BatchStats {
-    /// Folds one batch into the lifetime totals; `regions` is overwritten by
-    /// the caller with the full cache size. Additions saturate: a long-lived
-    /// interpreter's lifetime counters must clamp at the type maximum, not
-    /// wrap (or panic in debug builds) once traffic crosses it.
-    fn absorb(&mut self, other: &BatchStats) {
-        self.instances = self.instances.saturating_add(other.instances);
-        self.hits = self.hits.saturating_add(other.hits);
-        self.misses = self.misses.saturating_add(other.misses);
-        self.failures = self.failures.saturating_add(other.failures);
-        self.queries = self.queries.saturating_add(other.queries);
-    }
 }
 
 /// One instance's result within a batch.
@@ -150,21 +137,19 @@ impl BatchOutcome {
 
 /// The region-deduplicating batch interpreter (see the module docs).
 ///
-/// A thin adapter over [`RegionCache`]: this type owns the *batch* concerns
-/// (per-instance probing, query accounting, statistics), while membership
-/// lookup, fingerprint merging, and the collision fallback live in the
-/// cache — the same code path the sharded concurrent cache in
-/// `openapi-serve` builds on.
+/// A thin loop over [`RegionCache`] and [`OpenApiInterpreter`]: this type
+/// owns the *batch* concerns (per-instance probing, query accounting,
+/// statistics), while membership lookup, fingerprint merging, and the
+/// collision fallback live in the cache — the same code path the sharded
+/// concurrent cache in `openapi-serve` builds on.
 ///
 /// The cache persists across [`BatchInterpreter::interpret_batch`] calls, so
 /// a long-lived instance keeps getting cheaper as traffic covers more of the
-/// model's region structure. [`BatchInterpreter::clear_cache`] resets it.
+/// model's region structure.
 #[derive(Debug)]
 pub struct BatchInterpreter {
-    config: BatchConfig,
     interpreter: OpenApiInterpreter,
     cache: RegionCache,
-    lifetime: BatchStats,
 }
 
 impl Default for BatchInterpreter {
@@ -176,28 +161,15 @@ impl Default for BatchInterpreter {
 impl BatchInterpreter {
     /// Creates a batch interpreter with the given configuration.
     pub fn new(config: BatchConfig) -> Self {
-        let interpreter = OpenApiInterpreter::new(config.openapi.clone());
         let cache = RegionCache::new(RegionCacheConfig {
             membership_rtol: config.membership_rtol,
             fingerprint_digits: config.fingerprint_digits,
             ..RegionCacheConfig::default()
         });
         BatchInterpreter {
-            config,
-            interpreter,
+            interpreter: OpenApiInterpreter::new(config.openapi),
             cache,
-            lifetime: BatchStats::default(),
         }
-    }
-
-    /// Borrow the configuration.
-    pub fn config(&self) -> &BatchConfig {
-        &self.config
-    }
-
-    /// Borrow the underlying region cache.
-    pub fn cache(&self) -> &RegionCache {
-        &self.cache
     }
 
     /// Number of distinct regions currently cached (all classes).
@@ -205,39 +177,16 @@ impl BatchInterpreter {
         self.cache.len()
     }
 
-    /// Cumulative statistics over every batch this interpreter has served.
-    pub fn lifetime_stats(&self) -> BatchStats {
-        self.lifetime
-    }
-
-    /// Drops every cached region. The lifetime counters are kept, but
-    /// `regions` — a gauge of the *current* cache, not a counter — is reset
-    /// to zero so the lifetime view never reports entries that no longer
-    /// exist.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-        self.lifetime.regions = 0;
-    }
-
     /// Interprets `instances` for `class` against a black-box API,
     /// deduplicating by region.
     ///
-    /// Each instance costs one membership probe; cache hits stop there
-    /// (1 query instead of Algorithm 1's `1 + iterations · (d+1)`), misses
-    /// reuse the probe as Algorithm 1's `x⁰` equation so nothing is queried
-    /// twice. Results are in input order; per-instance failures land as
-    /// `Err` entries without aborting the batch.
-    ///
-    /// The batch runs in three phases: every instance is probed up front
-    /// (one query each, exactly as the per-instance path would spend), the
-    /// whole probe batch is resolved against the pre-batch cache in **one
-    /// blocked kernel pass** ([`RegionCache::lookup_probe_batch`]), and a
-    /// final in-order sweep re-checks each leftover miss against only the
-    /// regions solved earlier *in the same batch* (a delta scan past the
-    /// pre-batch watermark) before running Algorithm 1 on it. Query
-    /// accounting, solver RNG consumption, and which entry serves each
-    /// instance are identical to the sequential formulation — the phases
-    /// only reorder the membership math so it runs batched.
+    /// Each instance, in input order, costs one membership probe
+    /// ([`RegionCache::lookup_probe`]); cache hits stop there (1 query
+    /// instead of Algorithm 1's `1 + iterations · (d+1)`), misses reuse the
+    /// probe as Algorithm 1's `x⁰` equation so nothing is queried twice,
+    /// and admit the solved region before the next instance is looked up.
+    /// Per-instance failures land as `Err` entries without aborting the
+    /// batch.
     pub fn interpret_batch<M: PredictionApi, R: Rng>(
         &mut self,
         api: &M,
@@ -245,101 +194,9 @@ impl BatchInterpreter {
         class: usize,
         rng: &mut R,
     ) -> BatchOutcome {
-        if let Some(outcome) = self.reject_invalid_class(api, instances.len(), class) {
-            return outcome;
-        }
-        let mut stats = new_stats(instances.len());
-        let dim = api.dim();
-
-        // Phase 1: probe every well-dimensioned instance (1 query each;
-        // probes consume no solver RNG, so fronting them leaves the
-        // per-miss RNG stream untouched).
-        let mut probes: Vec<Option<Probe>> = Vec::with_capacity(instances.len());
-        for x in instances {
-            if x.len() == dim {
-                probes.push(Some(Probe::query(api, x.clone())));
-                stats.queries += 1;
-            } else {
-                probes.push(None);
-            }
-        }
-
-        // Phase 2: one blocked pass resolves the whole batch against the
-        // cache as it stood when the batch arrived.
-        let watermark = self.cache.group_watermark(class, dim);
-        let mut hits: Vec<Option<CachedRegion>> = vec![None; instances.len()];
-        {
-            let mut refs = Vec::with_capacity(instances.len());
-            let mut owner = Vec::with_capacity(instances.len());
-            for (i, probe) in probes.iter().enumerate() {
-                if let Some(probe) = probe {
-                    refs.push(ProbeRef {
-                        x: &instances[i],
-                        probs: probe.probs.as_slice(),
-                        class,
-                    });
-                    owner.push(i);
-                }
-            }
-            let mut ref_hits = vec![None; refs.len()];
-            self.cache.lookup_probe_batch(&refs, &mut ref_hits);
-            for (j, hit) in ref_hits.into_iter().enumerate() {
-                hits[owner[j]] = hit;
-            }
-        }
-
-        // Phase 3: in-order sweep. A pre-batch miss may still belong to a
-        // region an *earlier instance of this batch* just solved — the
-        // delta scan checks exactly the groups admitted past the
-        // watermark, so the sweep sees the same cache state the sequential
-        // formulation would at this instance.
-        let mut results = Vec::with_capacity(instances.len());
-        for (i, x) in instances.iter().enumerate() {
-            let Some(probe) = probes[i].take() else {
-                stats.failures += 1;
-                results.push(Err(InterpretError::DimensionMismatch {
-                    expected: dim,
-                    found: x.len(),
-                }));
-                continue;
-            };
-            let hit = hits[i].take().or_else(|| {
-                self.cache
-                    .lookup_probe_from(x, probe.probs.as_slice(), class, watermark)
-            });
-            let result = match hit {
-                Some(hit) => {
-                    stats.hits += 1;
-                    Ok(BatchItem {
-                        interpretation: hit.interpretation,
-                        fingerprint: hit.fingerprint,
-                        cache_hit: true,
-                        queries: 1,
-                    })
-                }
-                None => match self
-                    .interpreter
-                    .interpret_with_probe(api, probe, class, rng)
-                {
-                    Ok(solved) => {
-                        // `solved.queries` counts the membership probe (as
-                        // Algorithm 1's x⁰ query); it was tallied in phase
-                        // 1, so only the sampling rounds add here.
-                        stats.queries += solved.queries - 1;
-                        stats.misses += 1;
-                        Ok(self.admit(solved.interpretation, None, solved.queries))
-                    }
-                    Err(e) => {
-                        stats.queries += queries_consumed(&e, dim);
-                        stats.failures += 1;
-                        Err(e)
-                    }
-                },
-            };
-            results.push(result);
-        }
-        self.finish(class, &mut stats);
-        BatchOutcome { results, stats }
+        self.run(api, instances, class, |this, x, stats| {
+            this.interpret_one(api, x, class, rng, stats)
+        })
     }
 
     /// [`BatchInterpreter::interpret_batch`] with the oracle fast path:
@@ -353,42 +210,58 @@ impl BatchInterpreter {
         class: usize,
         rng: &mut R,
     ) -> BatchOutcome {
-        if let Some(outcome) = self.reject_invalid_class(api, instances.len(), class) {
-            return outcome;
-        }
+        self.run(api, instances, class, |this, x, stats| {
+            this.interpret_one_oracle(api, x, class, rng, stats)
+        })
+    }
+
+    /// The loop both entry points share: a bad class fails every instance
+    /// identically without spending a single query; otherwise `one` runs
+    /// per instance, in input order.
+    fn run<M: PredictionApi>(
+        &mut self,
+        api: &M,
+        instances: &[Vector],
+        class: usize,
+        mut one: impl FnMut(&mut Self, &Vector, &mut BatchStats) -> Result<BatchItem, InterpretError>,
+    ) -> BatchOutcome {
         let mut stats = new_stats(instances.len());
-        let mut results = Vec::with_capacity(instances.len());
-        for x in instances {
-            let result = self.interpret_one_oracle(api, x, class, rng, &mut stats);
-            if result.is_err() {
-                stats.failures += 1;
-            }
-            results.push(result);
+        if let Err(e) = validate_class(api.num_classes(), class) {
+            stats.failures = instances.len();
+            let results = instances.iter().map(|_| Err(e.clone())).collect();
+            return BatchOutcome { results, stats };
         }
-        self.finish(class, &mut stats);
+        let results: Vec<_> = instances.iter().map(|x| one(self, x, &mut stats)).collect();
+        stats.failures = results.iter().filter(|r| r.is_err()).count();
+        stats.regions = self.cache.class_len(class);
         BatchOutcome { results, stats }
     }
 
-    /// Class validation shared by both batch entry points: a bad class
-    /// fails every instance identically without spending a single query.
-    fn reject_invalid_class<M: PredictionApi>(
+    /// Black-box path: one probe decides membership; a miss solves from it.
+    fn interpret_one<M: PredictionApi, R: Rng>(
         &mut self,
         api: &M,
-        instances: usize,
+        x: &Vector,
         class: usize,
-    ) -> Option<BatchOutcome> {
-        let error = match crate::openapi::validate_class(api.num_classes(), class) {
-            Ok(()) => return None,
-            Err(e) => e,
-        };
-        let mut stats = new_stats(instances);
-        stats.failures = instances;
-        self.lifetime.absorb(&stats);
-        self.lifetime.regions = self.cache.len();
-        Some(BatchOutcome {
-            results: (0..instances).map(|_| Err(error.clone())).collect(),
-            stats,
-        })
+        rng: &mut R,
+        stats: &mut BatchStats,
+    ) -> Result<BatchItem, InterpretError> {
+        validate_request(api.dim(), api.num_classes(), x, class)?;
+        let probe = Probe::query(api, x.clone());
+        stats.queries += 1;
+        if let Some(hit) = self.cache.lookup_probe(x, probe.probs.as_slice(), class) {
+            stats.hits += 1;
+            return Ok(item(hit, true, 1));
+        }
+        let solved = self
+            .interpreter
+            .interpret_with_probe(api, probe, class, rng)
+            .inspect_err(|e| stats.queries += queries_consumed(e, api.dim()))?;
+        // `solved.queries` counts the membership probe (as Algorithm 1's x⁰
+        // query); it was tallied above, so only the sampling rounds add.
+        stats.queries += solved.queries - 1;
+        stats.misses += 1;
+        Ok(self.admit(solved.interpretation, None, solved.queries))
     }
 
     /// Oracle path: region id decides membership; hits cost zero queries.
@@ -400,21 +273,11 @@ impl BatchInterpreter {
         rng: &mut R,
         stats: &mut BatchStats,
     ) -> Result<BatchItem, InterpretError> {
-        if x.len() != api.dim() {
-            return Err(InterpretError::DimensionMismatch {
-                expected: api.dim(),
-                found: x.len(),
-            });
-        }
+        validate_request(api.dim(), api.num_classes(), x, class)?;
         let region = api.region_id(x.as_slice());
         if let Some(hit) = self.cache.lookup_region(class, &region) {
             stats.hits += 1;
-            return Ok(BatchItem {
-                interpretation: hit.interpretation,
-                fingerprint: hit.fingerprint,
-                cache_hit: true,
-                queries: 0,
-            });
+            return Ok(item(hit, true, 0));
         }
         let solved = self
             .interpreter
@@ -437,19 +300,7 @@ impl BatchInterpreter {
         queries: usize,
     ) -> BatchItem {
         let cached = self.cache.insert(Arc::new(interpretation), region);
-        BatchItem {
-            interpretation: cached.interpretation,
-            fingerprint: cached.fingerprint,
-            cache_hit: false,
-            queries,
-        }
-    }
-
-    /// Finalizes a batch's stats and folds them into the lifetime totals.
-    fn finish(&mut self, class: usize, stats: &mut BatchStats) {
-        stats.regions = self.cache.class_len(class);
-        self.lifetime.absorb(stats);
-        self.lifetime.regions = self.cache.len();
+        item(cached, false, queries)
     }
 }
 
@@ -460,15 +311,13 @@ fn new_stats(instances: usize) -> BatchStats {
     }
 }
 
-/// Query cost of a failed interpretation, reconstructed from the error (a
-/// failed run returns no [`crate::openapi::OpenApiResult`] to read it from).
-/// Budget exhaustion spends `d + 1` sampling queries per iteration; argument
-/// validation spends none. Public so other accounting layers (the
-/// `openapi-serve` service) charge failures identically.
-pub fn queries_consumed(error: &InterpretError, d: usize) -> usize {
-    match error {
-        InterpretError::BudgetExhausted { iterations, .. } => iterations * (d + 1),
-        _ => 0,
+/// The [`BatchItem`] serving a cache entry.
+fn item(entry: CachedRegion, cache_hit: bool, queries: usize) -> BatchItem {
+    BatchItem {
+        interpretation: entry.interpretation,
+        fingerprint: entry.fingerprint,
+        cache_hit,
+        queries,
     }
 }
 
@@ -613,56 +462,7 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_stats_survive_clear_cache_and_report_an_empty_cache() {
-        // Regression: `clear_cache` used to leave `lifetime.regions` stale,
-        // reporting entries that no longer existed until the next batch.
-        let api = two_region_model();
-        let mut batch = BatchInterpreter::default();
-        let mut rng = StdRng::seed_from_u64(20);
-        let first = batch.interpret_batch(&api, &clustered_instances(6), 0, &mut rng);
-        assert_eq!(first.stats.misses, 2);
-        let before = batch.lifetime_stats();
-        assert_eq!(before.regions, 2);
-        batch.clear_cache();
-        let after = batch.lifetime_stats();
-        // Counters survive; the cache gauge reflects the (now empty) cache.
-        assert_eq!(after.instances, before.instances);
-        assert_eq!(after.hits, before.hits);
-        assert_eq!(after.misses, before.misses);
-        assert_eq!(after.queries, before.queries);
-        assert_eq!(after.regions, 0, "cleared cache must report zero regions");
-    }
-
-    #[test]
-    fn lifetime_accounting_saturates_instead_of_overflowing() {
-        // Regression: `absorb` used plain `+`, which panics in debug builds
-        // (and wraps in release) once a lifetime counter nears the maximum.
-        let mut lifetime = BatchStats {
-            instances: usize::MAX - 1,
-            hits: usize::MAX,
-            misses: 3,
-            failures: usize::MAX - 2,
-            queries: usize::MAX,
-            regions: 0,
-        };
-        let batch = BatchStats {
-            instances: 5,
-            hits: 5,
-            misses: 5,
-            failures: 5,
-            queries: usize::MAX,
-            regions: 7,
-        };
-        lifetime.absorb(&batch);
-        assert_eq!(lifetime.instances, usize::MAX);
-        assert_eq!(lifetime.hits, usize::MAX);
-        assert_eq!(lifetime.misses, 8);
-        assert_eq!(lifetime.failures, usize::MAX);
-        assert_eq!(lifetime.queries, usize::MAX);
-    }
-
-    #[test]
-    fn cache_persists_and_clears_across_batches() {
+    fn cache_persists_across_batches() {
         let api = two_region_model();
         let mut batch = BatchInterpreter::default();
         let mut rng = StdRng::seed_from_u64(6);
@@ -670,12 +470,6 @@ mod tests {
         assert_eq!(first.stats.misses, 2);
         let second = batch.interpret_batch(&api, &clustered_instances(4), 0, &mut rng);
         assert_eq!(second.stats.misses, 0, "warm cache serves everything");
-        assert_eq!(batch.lifetime_stats().instances, 8);
-        assert_eq!(batch.lifetime_stats().hits, 2 + 4);
-        batch.clear_cache();
-        assert_eq!(batch.cached_regions(), 0);
-        let third = batch.interpret_batch(&api, &clustered_instances(4), 0, &mut rng);
-        assert_eq!(third.stats.misses, 2, "cleared cache resolves again");
     }
 
     #[test]
@@ -691,8 +485,6 @@ mod tests {
         assert_eq!(c0.stats.regions, 2);
         assert_eq!(c1.stats.regions, 2);
         assert_eq!(batch.cached_regions(), 4);
-        // Lifetime stats report the full cache, not a per-class view.
-        assert_eq!(batch.lifetime_stats().regions, 4);
         for r in c1.results.iter().take(1) {
             assert_eq!(r.as_ref().unwrap().interpretation.class, 1);
         }
@@ -758,6 +550,54 @@ mod tests {
         assert!(out.results[1].is_ok());
         assert_eq!(out.stats.failures, 1);
         assert_eq!(out.interpretations().count(), 1);
+    }
+
+    #[test]
+    fn budget_exhaustion_is_charged_alike_on_both_paths() {
+        // From a point on the split, one sampling round succeeds only if
+        // all d + 1 samples land on its side (2^-(d+1) at d = 8), so every
+        // instance fails after `1 + (d + 1)` queries; both paths must bill
+        // exactly what the metered API saw.
+        let d = 8;
+        let side = |shift: f64| {
+            LocalLinearModel::new(
+                Matrix::from_fn(d, 3, |r, c| ((r * 3 + c) % 5) as f64 * 0.3 - shift),
+                Vector(vec![0.1, -0.2, shift]),
+            )
+        };
+        let model = TwoRegionPlm::axis_split(0, 0.5, side(0.4), side(-0.7));
+        let instances: Vec<Vector> = (0..6)
+            .map(|i| {
+                let offset = if i % 2 == 0 { -1e-9 } else { 1e-9 };
+                let mut x: Vec<f64> = (0..d).map(|j| ((i * d + j) as f64).sin() * 0.4).collect();
+                x[0] = 0.5 + offset;
+                Vector(x)
+            })
+            .collect();
+        let cfg = BatchConfig {
+            openapi: OpenApiConfig {
+                max_iterations: 1,
+                ..OpenApiConfig::default()
+            },
+            ..BatchConfig::default()
+        };
+        for oracle in [false, true] {
+            let api = CountingApi::new(model.clone());
+            let mut batch = BatchInterpreter::new(cfg.clone());
+            let mut rng = StdRng::seed_from_u64(11);
+            let out = if oracle {
+                batch.interpret_batch_oracle(&api, &instances, 0, &mut rng)
+            } else {
+                batch.interpret_batch(&api, &instances, 0, &mut rng)
+            };
+            assert_eq!(out.stats.failures, instances.len(), "oracle: {oracle}");
+            assert!(out.results.iter().all(|r| matches!(
+                r,
+                Err(InterpretError::BudgetExhausted { iterations: 1, .. })
+            )));
+            assert_eq!(out.stats.queries as u64, api.queries(), "oracle: {oracle}");
+            assert_eq!(out.stats.queries, instances.len() * (1 + api.dim() + 1));
+        }
     }
 
     #[test]

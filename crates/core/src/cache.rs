@@ -3,9 +3,10 @@
 //! Every instance of a locally linear region recovers the **identical**
 //! core parameters (Theorem 2), so interpretation results are cacheable per
 //! *region*, not per instance. [`RegionCache`] owns the membership-probe
-//! lookup, the canonical-fingerprint merge, and the collision fallback that
-//! [`crate::batch::BatchInterpreter`] introduced — extracted here so the
-//! single-threaded batch layer and the sharded concurrent cache in
+//! lookup, the canonical-fingerprint merge, and the collision fallback, so
+//! the single-threaded batch layer ([`crate::batch::BatchInterpreter`], a
+//! per-instance loop of probe → [`RegionCache::lookup_probe`] → solve →
+//! [`RegionCache::insert`]) and the sharded concurrent cache in
 //! `openapi-serve` share exactly one membership code path.
 //!
 //! Two lookup modes, both sound by Theorem 2:
@@ -20,11 +21,14 @@
 //!
 //! # The blocked membership scan
 //!
-//! The black-box scan is the warm serving path's dominant cost, so it does
-//! not walk per-entry heap allocations: alongside the entries, the cache
-//! packs every boundary row of a class into one contiguous row-major
-//! [`RowMatrix`] per `(class, dimension)` pair (a `ClassBlock`), rebuilt
-//! incrementally on insert and eviction. A probe then runs as one batched
+//! The black-box scan runs once per warm request. It is not the warm
+//! path's dominant cost — `perfbench/README.md` measures `core.scan_share`
+//! at 0.009 (warm-wire-d8) and 0.007 (warm-wire-d196), with the wire
+//! dominating — but it stays cheap by not walking per-entry heap
+//! allocations: alongside the entries, the cache packs every boundary row
+//! of a class into one contiguous row-major [`RowMatrix`] per
+//! `(class, dimension)` pair (a `ClassBlock`), rebuilt incrementally on
+//! insert and eviction. A probe then runs as one batched
 //! kernel pass per chunk of rows — `y = W·x + b` for every cached contrast,
 //! Theorem-2 verdicts per region group — through the configured
 //! [`Backend`]. The observed log-probability ratios are memoized per probe
@@ -32,7 +36,8 @@
 //! [`RegionCache::lookup_probe_batch`] additionally iterates chunk-outer /
 //! probe-inner, running each chunk through the backend's *multi-probe*
 //! kernel ([`Backend::boundary_eval_batch`]) so a whole batch shares one
-//! sweep of the packed rows while they are hot in cache. Backends are
+//! sweep of the packed rows while they are hot in cache — the service's
+//! `submit_batch` and the wire's `InterpretBatch` use it. Backends are
 //! bit-identical by contract, so the verdicts do not depend on which one
 //! is configured.
 //!
@@ -264,24 +269,6 @@ impl RegionCache {
     /// one blocked kernel pass per `CHUNK_ROWS` packed boundaries
     /// instead of a per-entry scan.
     pub fn lookup_probe(&self, x: &Vector, probs: &[f64], class: usize) -> Option<CachedRegion> {
-        self.lookup_probe_from(x, probs, class, 0)
-    }
-
-    /// [`RegionCache::lookup_probe`] restricted to region groups admitted
-    /// at or after the watermark `from_group` (see
-    /// [`RegionCache::group_watermark`]). The batch layer uses this delta
-    /// scan to re-check only the regions solved *during* a batch after a
-    /// full pass over the pre-batch cache already missed.
-    ///
-    /// Watermarks stay valid only while the cache does not evict — delta
-    /// scans are for unbounded configurations (the batch layer's).
-    pub fn lookup_probe_from(
-        &self,
-        x: &Vector,
-        probs: &[f64],
-        class: usize,
-        from_group: usize,
-    ) -> Option<CachedRegion> {
         if x.is_empty() {
             // Zero-dimensional probes cannot be packed (a RowMatrix has at
             // least one column); fall back to the reference entry scan.
@@ -307,15 +294,9 @@ impl RegionCache {
             .with(|scratch| {
                 let s = &mut *scratch.borrow_mut();
                 fill_ln(&mut s.ln_probs, probs);
-                self.scan_block(block, x.as_slice(), class, from_group, s)
+                self.scan_block(block, x.as_slice(), class, s)
             })
             .map(|slot| self.serve(slot))
-    }
-
-    /// The number of region groups currently packed for `(class, dim)` —
-    /// a watermark for [`RegionCache::lookup_probe_from`] delta scans.
-    pub fn group_watermark(&self, class: usize, dim: usize) -> usize {
-        self.blocks.get(&(class, dim)).map_or(0, |b| b.groups.len())
     }
 
     /// Batched black-box lookup: resolves every probe whose `results` slot
@@ -407,17 +388,16 @@ impl RegionCache {
         }
     }
 
-    /// Scans one block from group `from_group` on, chunk by chunk,
-    /// returning the first slot whose group verdict passes.
+    /// Scans one block chunk by chunk, returning the first slot whose group
+    /// verdict passes.
     fn scan_block(
         &self,
         block: &ClassBlock,
         x: &[f64],
         class: usize,
-        from_group: usize,
         s: &mut Scratch,
     ) -> Option<usize> {
-        let mut g = from_group;
+        let mut g = 0;
         while g < block.groups.len() {
             let (g_end, row0, row_end) = chunk_bounds(block, g);
             s.groups.clear();
@@ -807,6 +787,14 @@ mod tests {
         probs
     }
 
+    /// Region groups packed for `(class, dim)`.
+    fn packed_groups(cache: &RegionCache, class: usize, dim: usize) -> usize {
+        cache
+            .blocks
+            .get(&(class, dim))
+            .map_or(0, |b| b.groups.len())
+    }
+
     fn bounded(capacity: usize) -> RegionCache {
         RegionCache::new(RegionCacheConfig {
             capacity: Some(capacity),
@@ -983,29 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_scans_see_only_groups_past_the_watermark() {
-        let mut cache = RegionCache::default();
-        let x = Vector(vec![0.9]);
-        cache.insert(interp(0, 1.0), None);
-        let watermark = cache.group_watermark(0, 1);
-        assert_eq!(watermark, 1);
-        let old = interp(0, 1.0);
-        let old_probs = consistent_probs(&old, &x);
-        // The pre-watermark region is invisible to a delta scan...
-        assert!(cache
-            .lookup_probe_from(&x, &old_probs, 0, watermark)
-            .is_none());
-        // ...while a region admitted after the watermark is found.
-        let fresh = interp(0, 2.0);
-        cache.insert(Arc::clone(&fresh), None);
-        let fresh_probs = consistent_probs(&fresh, &x);
-        let hit = cache
-            .lookup_probe_from(&x, &fresh_probs, 0, watermark)
-            .expect("fresh region visible to the delta scan");
-        assert_eq!(hit.interpretation, fresh);
-    }
-
-    #[test]
     fn duplicate_solves_merge_to_the_first_entry() {
         let mut cache = RegionCache::default();
         let a = cache.insert(interp(0, 5.0), None);
@@ -1014,7 +979,7 @@ mod tests {
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.interpretation, b.interpretation);
         // The merge left exactly one packed group behind.
-        assert_eq!(cache.group_watermark(0, 1), 1);
+        assert_eq!(packed_groups(&cache, 0, 1), 1);
     }
 
     #[test]
@@ -1038,7 +1003,7 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.evictions(), evicted);
-        assert_eq!(cache.group_watermark(0, 1), 0);
+        assert_eq!(packed_groups(&cache, 0, 1), 0);
         assert!(cache.lookup_region(0, &RegionId::from_index(0)).is_none());
     }
 }

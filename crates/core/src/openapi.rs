@@ -86,8 +86,31 @@ pub struct OpenApiResult {
     pub samples: Vec<Vector>,
 }
 
-/// Shared argument validation: a usable class needs `C ≥ 2` and
-/// `class < C`. Also used by the batch layer's up-front rejection.
+/// The one argument check every entry point runs before spending a query:
+/// `x` must have the model's dimension `dim`, and `class` must name one of
+/// its `num_classes ≥ 2` classes. A metered API must not be billed for a
+/// call its arguments doom, so callers validate before the `x⁰` probe.
+///
+/// # Errors
+/// [`InterpretError::DimensionMismatch`], then
+/// [`InterpretError::TooFewClasses`] / [`InterpretError::ClassOutOfRange`].
+pub fn validate_request(
+    dim: usize,
+    num_classes: usize,
+    x: &Vector,
+    class: usize,
+) -> Result<(), InterpretError> {
+    if x.len() != dim {
+        return Err(InterpretError::DimensionMismatch {
+            expected: dim,
+            found: x.len(),
+        });
+    }
+    validate_class(num_classes, class)
+}
+
+/// The class half of [`validate_request`]: a usable class needs `C ≥ 2`
+/// and `class < C`. The batch layer runs it once per batch.
 pub(crate) fn validate_class(c_total: usize, class: usize) -> Result<(), InterpretError> {
     if c_total < 2 {
         return Err(InterpretError::TooFewClasses {
@@ -137,15 +160,9 @@ impl OpenApiInterpreter {
         class: usize,
         rng: &mut R,
     ) -> Result<OpenApiResult, InterpretError> {
-        if x0.len() != api.dim() {
-            return Err(InterpretError::DimensionMismatch {
-                expected: api.dim(),
-                found: x0.len(),
-            });
-        }
-        // Validate the class BEFORE the x0 probe: a metered API must not be
-        // billed for a call that was doomed by its arguments.
-        validate_class(api.num_classes(), class)?;
+        // Validate BEFORE the x0 probe: a metered API must not be billed
+        // for a call that was doomed by its arguments.
+        validate_request(api.dim(), api.num_classes(), x0, class)?;
         let x0_probe = Probe::query(api, x0.clone());
         self.interpret_with_probe(api, x0_probe, class, rng)
     }
@@ -169,13 +186,7 @@ impl OpenApiInterpreter {
     ) -> Result<OpenApiResult, InterpretError> {
         let d = api.dim();
         let c_total = api.num_classes();
-        if x0_probe.x.len() != d {
-            return Err(InterpretError::DimensionMismatch {
-                expected: d,
-                found: x0_probe.x.len(),
-            });
-        }
-        validate_class(c_total, class)?;
+        validate_request(d, c_total, &x0_probe.x, class)?;
         let x0 = x0_probe.x.clone();
         let mut queries = 1usize;
         let mut edge = self.config.initial_edge;
@@ -307,6 +318,19 @@ impl OpenApiInterpreter {
         // Every contrast was checked and none triggered the early exit.
         debug_assert_eq!(consistent, required);
         Ok((pairwise, worst_residual))
+    }
+}
+
+/// Query cost of a failed interpretation, reconstructed from the error (a
+/// failed run returns no [`OpenApiResult`] to read it from), not counting
+/// the `x⁰` probe. Budget exhaustion spends `d + 1` sampling queries per
+/// iteration; argument validation spends none. Every accounting layer
+/// (the batch layer, the `openapi-serve` service) charges failures with
+/// it, so they agree.
+pub fn queries_consumed(error: &InterpretError, d: usize) -> usize {
+    match error {
+        InterpretError::BudgetExhausted { iterations, .. } => iterations * (d + 1),
+        _ => 0,
     }
 }
 

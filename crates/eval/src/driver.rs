@@ -132,7 +132,7 @@ impl<'a> BatchDriver<'a> {
         api: &M,
         batch: &mut BatchInterpreter,
     ) -> (Vec<Result<BatchItem, InterpretError>>, BatchStats) {
-        let before = batch.lifetime_stats();
+        let mut stats = BatchStats::default();
         let results: Vec<Result<BatchItem, InterpretError>> = self
             .items
             .iter()
@@ -145,10 +145,14 @@ impl<'a> BatchDriver<'a> {
                     item.class,
                     &mut rng,
                 );
+                stats.instances += one.stats.instances;
+                stats.hits += one.stats.hits;
+                stats.misses += one.stats.misses;
+                stats.failures += one.stats.failures;
+                stats.queries += one.stats.queries;
                 one.results.into_iter().next().expect("one result per item")
             })
             .collect();
-        let after = batch.lifetime_stats();
         // Items carry mixed classes, so "regions" here means the distinct
         // (class-keyed) cache entries THIS pass was served from — not the
         // interpreter's whole cache, which may hold earlier passes' entries.
@@ -157,14 +161,7 @@ impl<'a> BatchDriver<'a> {
             .filter_map(|r| r.as_ref().ok())
             .map(|item| item.fingerprint)
             .collect();
-        let stats = BatchStats {
-            instances: after.instances - before.instances,
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-            failures: after.failures - before.failures,
-            queries: after.queries - before.queries,
-            regions: served.len(),
-        };
+        stats.regions = served.len();
         (results, stats)
     }
 }

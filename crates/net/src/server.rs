@@ -24,7 +24,7 @@ use crate::wire::{
 use openapi_api::PredictionApi;
 use openapi_linalg::Vector;
 use openapi_serve::{InterpretRequest, InterpretationService, ServeError, Served, Ticket};
-use openapi_store::StoreError;
+use openapi_store::{record, StoreError};
 use openapi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use openapi_sync::Mutex;
 use openapi_trace::{clock, RequestSpan, Stage};
@@ -480,6 +480,22 @@ fn handle_request<M: PredictionApi + Send + Sync + 'static>(
         }
         Request::InterpretBatch { deadline_ms, items } => {
             let n = items.len();
+            // A reply that might not fit one legal frame is refused before
+            // any probe runs; the stream stays in sync.
+            let model = local_model(shared);
+            let bound = wire::batch_reply_bound(n, model.dim, model.num_classes);
+            if bound > record::MAX_PAYLOAD as usize {
+                return Slot::Ready(Box::new(Response::Error(RemoteError {
+                    code: ErrorCode::Malformed,
+                    message: format!(
+                        "a reply to {n} items of a {}-input, {}-class model may reach \
+                         {bound} bytes, over the {} byte frame limit; split the batch",
+                        model.dim,
+                        model.num_classes,
+                        record::MAX_PAYLOAD
+                    ),
+                })));
+            }
             // Batch admission is idle-aware — a batch larger than the whole
             // budget is admitted on an idle connection (≤ MAX_BATCH is
             // already enforced by the decoder), so "retry after draining

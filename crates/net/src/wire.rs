@@ -50,6 +50,31 @@ pub const SERVER_HELLO_LEN: usize = 28;
 /// [`openapi_store::record::MAX_PAYLOAD`]).
 pub const MAX_BATCH: usize = 1024;
 
+/// Bytes reserved for a batch item's error text beyond its per-class part:
+/// every [`openapi_core::InterpretError`] rendering fits in it, except the
+/// list of failing contrast classes that budget exhaustion appends.
+const ERROR_TEXT_BASE: usize = 256;
+
+/// Worst-case payload bytes of a [`Response::Batch`] answering `items`
+/// requests against a model with `dim` inputs and `num_classes` classes:
+/// tag and item count, then per item its flag plus the larger of a served
+/// record and a typed error. A server refuses a batch whose bound exceeds
+/// [`openapi_store::record::MAX_PAYLOAD`] before serving any of it, since
+/// its reply might not fit one legal frame.
+pub fn batch_reply_bound(items: usize, dim: usize, num_classes: usize) -> usize {
+    let contrasts = num_classes.saturating_sub(1);
+    // Outcome, queries, latency, span, then one framed record: fingerprint,
+    // class, contrast count, and per contrast c', bias, weight count and
+    // the weights.
+    let served = (1 + 8 + 8 + 8 + record::FRAME_HEADER + 24)
+        .saturating_add(contrasts.saturating_mul(dim.saturating_mul(8).saturating_add(24)));
+    // Code, message length, then the message; a failing-contrast list
+    // entry is at most 20 digits plus ", ".
+    let error = (2 + 8 + ERROR_TEXT_BASE).saturating_add(num_classes.saturating_mul(22));
+    let item = 1 + served.max(error);
+    (1 + 8usize).saturating_add(items.saturating_mul(item))
+}
+
 /// Bytes a [`Response::SyncPullReply`] payload spends besides its record
 /// frames: tag, `u64` record count, truncated flag, `u64` frames length.
 const SYNC_PULL_REPLY_OVERHEAD: usize = 1 + 8 + 1 + 8;
@@ -1127,6 +1152,37 @@ mod tests {
             server_latency: Duration::from_micros(12_345),
             span: 0xFACE,
         }
+    }
+
+    #[test]
+    fn batch_reply_bound_covers_real_replies() {
+        let (dim, classes) = (3, 3);
+        let long_failure = RemoteError {
+            code: ErrorCode::Interpret,
+            message: openapi_core::InterpretError::BudgetExhausted {
+                iterations: usize::MAX,
+                final_edge: -f64::MIN_POSITIVE,
+                unsatisfied: vec![usize::MAX; classes - 1],
+            }
+            .to_string(),
+        };
+        let replies = [
+            vec![Ok(served(ServeOutcome::Solved)); 5],
+            vec![Err(long_failure); 5],
+            Vec::new(),
+        ];
+        for results in replies {
+            let n = results.len();
+            let frame = encode_response(&Response::Batch(results));
+            let payload = frame.len() - record::FRAME_HEADER;
+            assert!(
+                payload <= batch_reply_bound(n, dim, classes),
+                "{payload} bytes for {n} items"
+            );
+        }
+        // 1,024 items of a d = 4000, C = 10 model cannot fit one frame.
+        assert!(batch_reply_bound(MAX_BATCH, 4000, 10) > record::MAX_PAYLOAD as usize);
+        assert!(batch_reply_bound(MAX_BATCH, 196, 10) <= record::MAX_PAYLOAD as usize);
     }
 
     fn sample_stats(store: bool, fabric: bool, drift: bool) -> StatsSnapshot {

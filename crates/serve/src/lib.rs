@@ -8,8 +8,8 @@
 //! the expensive part per-*region*, not per-instance: every instance inside
 //! one locally linear region recovers the identical core parameters. The
 //! single-threaded [`openapi_core::BatchInterpreter`] already exploits that
-//! with a region cache; this crate scales the same insight to many client
-//! threads:
+//! with a per-instance loop over a region cache; this crate scales the same
+//! insight to many client threads:
 //!
 //! * [`SharedRegionCache`] — N shards of [`openapi_core::RegionCache`]
 //!   keyed by [`openapi_core::RegionFingerprint`], each behind a

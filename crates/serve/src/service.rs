@@ -6,11 +6,12 @@ use crate::shared_cache::{SharedCacheConfig, SharedRegionCache};
 use crate::stats::{DriftStats, FabricStats, ServiceStats, StageSlot, StatsSnapshot};
 use crossbeam::channel::{self, Receiver, Sender};
 use openapi_api::PredictionApi;
-use openapi_core::batch::queries_consumed;
 use openapi_core::cache::ProbeRef;
 use openapi_core::decision::{Interpretation, RegionFingerprint};
 use openapi_core::equations::Probe;
-use openapi_core::openapi::{OpenApiConfig, OpenApiInterpreter};
+use openapi_core::openapi::{
+    queries_consumed, validate_request, OpenApiConfig, OpenApiInterpreter,
+};
 use openapi_core::InterpretError;
 use openapi_linalg::Vector;
 use openapi_store::{RegionStore, StoreConfig, StoreError};
@@ -544,26 +545,7 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
             }
             // Validation mirrors `handle_job`: doomed requests are not
             // billed a single query.
-            if job.x.len() != d {
-                let e = InterpretError::DimensionMismatch {
-                    expected: d,
-                    found: job.x.len(),
-                };
-                finish(inner, job, Err(ServeError::Interpret(e)));
-                continue;
-            }
-            if c_total < 2 {
-                let e = InterpretError::TooFewClasses {
-                    num_classes: c_total,
-                };
-                finish(inner, job, Err(ServeError::Interpret(e)));
-                continue;
-            }
-            if job.class >= c_total {
-                let e = InterpretError::ClassOutOfRange {
-                    class: job.class,
-                    num_classes: c_total,
-                };
+            if let Err(e) = validate_request(d, c_total, &job.x, job.class) {
                 finish(inner, job, Err(ServeError::Interpret(e)));
                 continue;
             }
@@ -983,27 +965,10 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
     if expired(&job) {
         return finish(inner, job, Err(ServeError::DeadlineExceeded));
     }
-    // Argument validation mirrors `OpenApiInterpreter::interpret`: doomed
+    // Argument validation is `OpenApiInterpreter::interpret`'s: doomed
     // requests must not be billed a single query.
     let (d, c_total) = (inner.api.dim(), inner.api.num_classes());
-    if job.x.len() != d {
-        let e = InterpretError::DimensionMismatch {
-            expected: d,
-            found: job.x.len(),
-        };
-        return finish(inner, job, Err(ServeError::Interpret(e)));
-    }
-    if c_total < 2 {
-        let e = InterpretError::TooFewClasses {
-            num_classes: c_total,
-        };
-        return finish(inner, job, Err(ServeError::Interpret(e)));
-    }
-    if job.class >= c_total {
-        let e = InterpretError::ClassOutOfRange {
-            class: job.class,
-            num_classes: c_total,
-        };
+    if let Err(e) = validate_request(d, c_total, &job.x, job.class) {
         return finish(inner, job, Err(ServeError::Interpret(e)));
     }
 
@@ -1079,20 +1044,7 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
         None
     };
     if let Some(stale) = witnessed {
-        let evicted = inner.cache.evict(job.class, stale) as u64;
-        let stored = inner
-            .store
-            .as_ref()
-            .is_some_and(|s| s.contains_fingerprint(job.class, stale));
-        if evicted > 0 || stored {
-            DriftStats::add(&inner.drift_stats.detected, 1);
-            DriftStats::add(&inner.drift_stats.invalidated, evicted);
-            job.span.event(Stage::Invalidate, stale.0);
-            if let Some(store) = &inner.store {
-                if store.tombstone(job.class, stale) {
-                    DriftStats::add(&inner.drift_stats.tombstones, 1);
-                }
-            }
+        if invalidate_stale(inner, job.class, stale, job.span) {
             job.drifted = true;
         }
     }
@@ -1307,25 +1259,42 @@ fn audit_drift<M: PredictionApi>(inner: &Inner<M>) -> u64 {
         }
         // Nothing explains the live prediction any more. If the witnessed
         // region is still on offer, it is stale: invalidate it everywhere.
-        let evicted = inner.cache.evict(class, stale) as u64;
-        let stored = inner
-            .store
-            .as_ref()
-            .is_some_and(|s| s.contains_fingerprint(class, stale));
-        if evicted > 0 || stored {
-            DriftStats::add(&inner.drift_stats.detected, 1);
-            DriftStats::add(&inner.drift_stats.invalidated, evicted);
-            RequestSpan::detached().event(Stage::Invalidate, stale.0);
-            if let Some(store) = &inner.store {
-                if store.tombstone(class, stale) {
-                    DriftStats::add(&inner.drift_stats.tombstones, 1);
-                }
-            }
+        if invalidate_stale(inner, class, stale, RequestSpan::detached()) {
             invalidated += 1;
         }
         inner.witnesses.lock().remove(class, &bits);
     }
     invalidated
+}
+
+/// Invalidates the witnessed region `stale` of `class` everywhere once a
+/// live probe convicted it: evicts its cache entries and tombstones it in
+/// the store, counting the detection and emitting `Invalidate` on `span`.
+/// Returns false (and counts nothing) when neither tier still offers the
+/// region — it was already invalidated.
+fn invalidate_stale<M: PredictionApi>(
+    inner: &Inner<M>,
+    class: usize,
+    stale: RegionFingerprint,
+    span: RequestSpan,
+) -> bool {
+    let evicted = inner.cache.evict(class, stale) as u64;
+    let stored = inner
+        .store
+        .as_ref()
+        .is_some_and(|s| s.contains_fingerprint(class, stale));
+    if evicted == 0 && !stored {
+        return false;
+    }
+    DriftStats::add(&inner.drift_stats.detected, 1);
+    DriftStats::add(&inner.drift_stats.invalidated, evicted);
+    span.event(Stage::Invalidate, stale.0);
+    if let Some(store) = &inner.store {
+        if store.tombstone(class, stale) {
+            DriftStats::add(&inner.drift_stats.tombstones, 1);
+        }
+    }
+    true
 }
 
 /// Derives a request's sampling RNG from `(seed, request id)` via
@@ -1438,9 +1407,27 @@ mod tests {
                 InterpretError::ClassOutOfRange { .. }
             ))
         ));
+        // The batch path runs the same validation before its probes.
+        let batch = svc.submit_batch(vec![
+            InterpretRequest::new(Vector(vec![0.0; 5]), 0),
+            InterpretRequest::new(Vector(vec![0.1, 0.2]), 9),
+        ]);
+        let mut batch = batch.into_iter().map(Ticket::wait);
+        assert!(matches!(
+            batch.next().unwrap(),
+            Err(ServeError::Interpret(
+                InterpretError::DimensionMismatch { .. }
+            ))
+        ));
+        assert!(matches!(
+            batch.next().unwrap(),
+            Err(ServeError::Interpret(
+                InterpretError::ClassOutOfRange { .. }
+            ))
+        ));
         assert_eq!(svc.api().queries(), 0);
         let stats = svc.stats();
-        assert_eq!(stats.failures, 2);
+        assert_eq!(stats.failures, 4);
     }
 
     #[test]

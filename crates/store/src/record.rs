@@ -176,8 +176,16 @@ pub fn crc64(bytes: &[u8]) -> u64 {
 
 /// Frames an opaque payload: length, CRC, bytes. The inverse of
 /// [`get_frame`].
+///
+/// # Panics
+/// When `payload` exceeds [`MAX_PAYLOAD`]: every reader refuses such a
+/// frame, and past 4 GiB its `u32` length would be truncated.
 pub fn put_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    debug_assert!(payload.len() <= MAX_PAYLOAD as usize);
+    assert!(
+        payload.len() <= MAX_PAYLOAD as usize,
+        "frame payload of {} bytes exceeds MAX_PAYLOAD",
+        payload.len()
+    );
     buf.put_u32_le(payload.len() as u32);
     buf.put_u64_le(crc64(payload));
     buf.extend_from_slice(payload);

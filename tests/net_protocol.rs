@@ -16,7 +16,7 @@
 //!    the wire, per-item batch results, stats parity, and a graceful close
 //!    that drains in-flight requests.
 
-use openapi_repro::api::{CountingApi, PredictionApi, TwoRegionPlm};
+use openapi_repro::api::{CountingApi, LinearSoftmaxModel, PredictionApi, TwoRegionPlm};
 use openapi_repro::net::wire::{self, ErrorCode, FrameRead, Request, Response};
 use openapi_repro::net::{Client, ClientError, Server, ServerConfig, VERSION};
 use openapi_repro::prelude::*;
@@ -432,6 +432,35 @@ fn oversized_batches_succeed_on_an_idle_connection() {
     for (i, result) in results.iter().enumerate() {
         assert!(result.is_ok(), "item {i}: {result:?}");
     }
+    server.close().expect("clean close");
+}
+
+/// A batch whose reply could outgrow one legal frame — 1,024 items of a
+/// d = 4000, C = 10 model, about 295 MB against the 256 MiB frame limit —
+/// is refused with a typed `Malformed` error before any probe runs, and
+/// the connection keeps serving.
+#[test]
+fn batches_whose_reply_cannot_fit_a_frame_are_refused_up_front() {
+    const D: usize = 4000;
+    const C: usize = 10;
+    let weights = Matrix::from_fn(D, C, |r, c| ((r * C + c) % 7) as f64 * 0.01 - 0.03);
+    let api = CountingApi::new(LinearSoftmaxModel::new(weights, Vector(vec![0.0; C])));
+    let service = InterpretationService::new(api, service_config(1));
+    let server =
+        Server::bind("127.0.0.1:0", service, ServerConfig::default()).expect("ephemeral bind");
+    let mut client = Client::connect(server.local_addr()).expect("handshake");
+    let items: Vec<(Vector, usize)> = (0..wire::MAX_BATCH)
+        .map(|i| (Vector(vec![i as f64 * 1e-3; D]), 0))
+        .collect();
+    match client.interpret_batch(&items, None) {
+        Err(ClientError::Remote(e)) => {
+            assert_eq!(e.code, ErrorCode::Malformed);
+            assert!(e.message.contains("split the batch"), "{e}");
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    client.ping().expect("the connection stays usable");
+    assert_eq!(server.service().api().queries(), 0);
     server.close().expect("clean close");
 }
 
